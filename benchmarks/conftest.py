@@ -23,7 +23,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON_DEFAULT = REPO_ROOT / "BENCH_headline.json"
 
 #: Trip count used by the table benches: large enough for stable
-#: weighting, small enough that a full table runs in tens of seconds.
+#: weighting, small enough that a full table of 18 rows runs in about
+#: five seconds (block scoring and trace timing issue through the
+#: compiled stall tables).
 TABLE_TRIPS = 40
 
 

@@ -27,6 +27,7 @@ from ..obs.report import (
     SCHED_TIE_BREAK,
 )
 from ..pipeline.diagnose import explain_stall
+from ..pipeline.simulator import issue_cycles
 from ..pipeline.stalls import issue, stall_query
 from ..pipeline.state import PipelineState
 from ..pipeline.tables import LeanPipeline, TableMiss
@@ -133,6 +134,7 @@ class ListScheduler:
                 try:
                     order, exit_cycle = self._forward_pass_lean(graph, heights)
                 except TableMiss:
+                    self.model.tables.misses += 1
                     order = None
             if order is None:
                 order, exit_cycle = self._forward_pass(
@@ -145,11 +147,11 @@ class ListScheduler:
             # cycle already prices the schedule.
             scheduled_cycles = exit_cycle + 1 if region else 0
         else:
-            scheduled_cycles = self._issue_cycles(scheduled)
+            scheduled_cycles = issue_cycles(self.model, scheduled)[0]
         return ScheduleResult(
             instructions=scheduled,
             order=order,
-            original_cycles=self._issue_cycles(region),
+            original_cycles=issue_cycles(self.model, region)[0],
             scheduled_cycles=scheduled_cycles,
             graph=graph,
             exit_cycle=exit_cycle if entry_state is not None else None,
@@ -377,24 +379,3 @@ class ListScheduler:
                 )
             )
         return tuple(rejected)
-
-    # -- measurement -------------------------------------------------------------
-
-    def _issue_cycles(self, instructions: list[Instruction]) -> int:
-        model = self.model
-        if model.tables is not None:
-            try:
-                lean = LeanPipeline(model.tables)
-                cycle = 0
-                for inst in instructions:
-                    timing = model.timing(inst)
-                    cycle, next_sid = lean.query(cycle, timing)
-                    lean.commit(timing, cycle, next_sid)
-                return cycle + 1 if instructions else 0
-            except TableMiss:
-                pass
-        state = PipelineState(model)
-        cycle = 0
-        for inst in instructions:
-            cycle = issue(cycle, state, inst).issue_cycle
-        return cycle + 1 if instructions else 0

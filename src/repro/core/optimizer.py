@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..eel.cfg import BasicBlock
 from ..isa.instruction import Instruction
-from ..pipeline.simulator import BlockSimulator
+from ..pipeline.simulator import issue_cycles
 from ..spawn.model import MachineModel
 from .dependence import DependenceGraph, SchedulingPolicy, build_dependence_graph
 from .list_scheduler import ListScheduler
@@ -75,7 +75,6 @@ class ImprovedScheduler:
         self.seed = seed
         self.policy = policy or SchedulingPolicy()
         self._list = ListScheduler(model, self.policy)
-        self._sim = BlockSimulator(model)
         self.stats = OptimizerStats()
 
     # Editor transform protocol (body-only: delay slots untouched).
@@ -128,9 +127,12 @@ class ImprovedScheduler:
         back-to-back copy of the block. Compilers schedule loop bodies
         for their steady state, not for a cold pipeline — this is what
         lets the generated 'compiled' code beat EEL's isolated-block
-        scheduling, reproducing the paper's de-scheduling effect."""
-        once = self._sim.block_cycles(instructions)
-        twice = self._sim.block_cycles(instructions + instructions)
+        scheduling, reproducing the paper's de-scheduling effect.
+
+        Both copies issue in one stream: the cost of the first copy is
+        the stream's cycle after it, exactly what timing it alone
+        gives."""
+        once, twice = issue_cycles(self.model, instructions, copies=2)
         return twice - once
 
     def _refine(

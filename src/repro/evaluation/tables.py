@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..workloads.spec95 import CFP95, CINT95
 from .experiment import BenchmarkResult, ExperimentConfig, run_profiling_experiment
@@ -96,14 +96,7 @@ def run_table(
     """Reproduce one of the paper's tables (1, 2, or 3)."""
     config = TABLE_CONFIGS[table]
     if trip_count is not None:
-        config = ExperimentConfig(
-            machine=config.machine,
-            reschedule_baseline=config.reschedule_baseline,
-            trip_count=trip_count,
-            policy=config.policy,
-            model_icache=config.model_icache,
-            optimizer_restarts=config.optimizer_restarts,
-        )
+        config = replace(config, trip_count=trip_count)
     result = TableResult(table=table, config=config)
     for benchmark in benchmarks or (CINT95 + CFP95):
         result.rows.append(run_profiling_experiment(benchmark, config))

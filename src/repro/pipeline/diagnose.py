@@ -104,7 +104,7 @@ def explain_stall(
     or None when it can issue immediately."""
     timing = state.model.timing(inst)
     hazards = _collect_hazards(
-        cycle, state, _prepare(timing, state.model), first_only=True
+        cycle, state, _prepare(timing), first_only=True
     )
     return hazards[0] if hazards else None
 
@@ -118,7 +118,7 @@ def all_hazards(
     it hides."""
     timing = state.model.timing(inst)
     return _collect_hazards(
-        cycle, state, _prepare(timing, state.model), first_only=False
+        cycle, state, _prepare(timing), first_only=False
     )
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from ..isa.instruction import Instruction
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..spawn.model import MachineModel
-from .stalls import issue, pipeline_stalls, walk
+from .stalls import issue, pipeline_stalls
 from .state import PipelineState
+from .tables import LeanPipeline, TableMiss
 
 
 @dataclass
@@ -76,8 +77,13 @@ class BlockSimulator:
         )
 
     def block_cycles(self, instructions: list[Instruction]) -> int:
-        """Shorthand: the issue-cycle cost of a block."""
-        return self.time_block(instructions).issue_cycles
+        """The issue-cycle cost of a block. With a live recorder this is
+        :meth:`time_block`, whose issues attribute their stalls;
+        otherwise :func:`issue_cycles`, which walks the compiled tables
+        when the model has them."""
+        if self.recorder.enabled:
+            return self.time_block(instructions).issue_cycles
+        return issue_cycles(self.model, instructions)[0]
 
     def next_stalls(
         self, state: PipelineState, cycle: int, inst: Instruction
@@ -85,3 +91,43 @@ class BlockSimulator:
         """The scheduler's priority metric: stalls before ``inst`` could
         start executing, given the pipeline state so far."""
         return pipeline_stalls(cycle, state, inst)
+
+
+def issue_cycles(
+    model: MachineModel, instructions: list[Instruction], copies: int = 1
+) -> list[int]:
+    """Issue ``copies`` back-to-back copies of ``instructions`` through
+    one fresh in-order stream; the issue-cycle cost after each copy.
+
+    With compiled tables attached the stream is a
+    :class:`~repro.pipeline.tables.LeanPipeline`. When the tables cannot
+    carry it (:class:`~repro.pipeline.tables.TableMiss`, counted in
+    ``tables.misses``) the whole stream is redone on a
+    :class:`PipelineState` through :func:`issue`, so the answer is the
+    interpreted walker's either way.
+    """
+    if not instructions:
+        return [0] * copies
+    tables = model.tables
+    if tables is not None:
+        timings = [model.timing(inst) for inst in instructions]
+        try:
+            return _stream(LeanPipeline(tables).issue, timings, copies)
+        except TableMiss:
+            tables.misses += 1
+    state = PipelineState(model)
+    return _stream(
+        lambda cycle, inst: issue(cycle, state, inst).issue_cycle,
+        instructions,
+        copies,
+    )
+
+
+def _stream(issue_at, items: list, copies: int) -> list[int]:
+    cycle = 0
+    out = []
+    for _ in range(copies):
+        for item in items:
+            cycle = issue_at(cycle, item)
+        out.append(cycle + 1)
+    return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ..isa.instruction import Instruction
 from ..isa.registers import Reg
 from ..obs.report import ISSUES, TABLE_FALLBACKS, TABLE_HITS
-from ..spawn.model import InstructionTiming, MachineModel
+from ..spawn.model import InstructionTiming
 from .state import HeldInterval, PipelineState
 
 #: Safety bound: a candidate that cannot issue within this many cycles
@@ -71,53 +71,26 @@ class _Prepared:
     rel_intervals: tuple[tuple[str, int, int, int], ...] = ()
 
 
-#: Prepared-event cache, keyed on (model digest, timing content). The
-#: digest content-addresses the model, so two models built from the
-#: same description share entries while models that merely produce
-#: equal-looking timing objects (or reuse a garbage-collected timing's
-#: object id) can never cross-contaminate.
+#: Prepared-event cache shared by every model, keyed on the timing's
+#: content: its trace's signature and its resolved register accesses,
+#: everything a prepared bundle is built from. Group ids are not
+#: content — two models, even two built from one description, number
+#: the same traces differently when they first meet instructions in a
+#: different order.
 _PREPARED_CACHE: dict[tuple, _Prepared] = {}
 
 
-def _model_cache_key(model: MachineModel) -> str:
-    """The model's content digest, memoized on plain models.
-
-    Proxy models (e.g. the fault harness's ``CorruptedModel``) delegate
-    attribute reads to their base, so the memo is only trusted when it
-    lives in the instance's own ``__dict__`` of a plain
-    :class:`MachineModel` — a proxy always recomputes, keeping its
-    digest distinct from the model it wraps.
-    """
-    from ..parallel.fingerprint import model_digest  # lazy: avoids a cycle
-
-    if type(model) is MachineModel:
-        memo = model.__dict__.get("_digest_memo")
-        if memo is None:
-            memo = model_digest(model)
-            model.__dict__["_digest_memo"] = memo
-        return memo
-    return model_digest(model)
-
-
-def _prepare(timing: InstructionTiming, model: MachineModel | None = None) -> _Prepared:
-    # A prepared bundle is a pure function of the timing's own content
-    # (trace + resolved accesses), so it can be memoized directly on the
-    # timing object — models intern timings per instance, making this
-    # the common hit. The digest-keyed cache below stays as the shared
-    # layer across models built from the same description; the digest is
-    # required in its key because a bare (group, reads, writes) triple
-    # is only unique within one model's group numbering.
+def _prepare(timing: InstructionTiming) -> _Prepared:
+    # Models intern timings per instance, so the memo on the timing
+    # object is the common hit; the content-keyed cache shares bundles
+    # across timings (and models) with equal content.
     memo = timing.__dict__.get("_prepared_memo")
     if memo is not None:
         return memo
-    if model is None:
-        prepared = _prepare_uncached(timing)
-    else:
-        key = (_model_cache_key(model), timing.group, timing.reads, timing.writes)
-        prepared = _PREPARED_CACHE.get(key)
-        if prepared is None:
-            prepared = _prepare_uncached(timing)
-            _PREPARED_CACHE[key] = prepared
+    key = (timing.trace.signature(), timing.reads, timing.writes)
+    prepared = _PREPARED_CACHE.get(key)
+    if prepared is None:
+        prepared = _PREPARED_CACHE[key] = _prepare_uncached(timing)
     object.__setattr__(timing, "_prepared_memo", prepared)
     return prepared
 
@@ -188,7 +161,7 @@ def stall_query(cycle: int, state: PipelineState, timing: InstructionTiming) -> 
         hit = _table_query(cycle, state, timing)
         if hit is not None:
             return hit[0] - cycle
-    prepared = _prepare(timing, state.model)
+    prepared = _prepare(timing)
     return _search(cycle, state, prepared) - cycle
 
 
@@ -216,7 +189,7 @@ def issue(
         if hit is not None:
             issue_cycle, next_sid = hit
             result = _materialize(
-                issue_cycle, cycle, _prepare(timing, state.model)
+                issue_cycle, cycle, _prepare(timing)
             )
         else:
             result = walk(cycle, state, timing)
@@ -234,7 +207,7 @@ def issue(
             attribute_stalls(
                 recorder,
                 state,
-                _prepare(timing, state.model),
+                _prepare(timing),
                 cycle,
                 result.issue_cycle,
             )
@@ -263,8 +236,8 @@ def walk(cycle: int, state: PipelineState, timing: InstructionTiming) -> WalkRes
     if state.tables is not None:
         hit = _table_query(cycle, state, timing)
         if hit is not None:
-            return _materialize(hit[0], cycle, _prepare(timing, state.model))
-    prepared = _prepare(timing, state.model)
+            return _materialize(hit[0], cycle, _prepare(timing))
+    prepared = _prepare(timing)
     return _materialize(_search(cycle, state, prepared), cycle, prepared)
 
 

@@ -22,15 +22,17 @@ monotone lower bound on the start cycle: ``RAW`` requires
 therefore passes at every later cycle, so the earliest legal issue is
 the first *structural* fit at or after the register lower bound — and
 structural occupancy is a pure function of (current state, timing
-group). Register history stays in the per-stream dictionaries exactly
-as in the interpreted walker.
+group). Register history stays per stream, exactly as in the
+interpreted walker.
 
 State encoding and bounds
 -------------------------
-A state is the tuple of per-cycle free-unit rows relative to the
-current cycle, trimmed of trailing idle rows. No trace event occurs
-more than ``window - 1`` cycles after issue (``window`` = the largest
-group's ``max_event_cycle + 1``), so occupancy never extends more than
+A state is the sequence of per-cycle free-unit rows relative to the
+current cycle, trimmed of trailing idle rows, stored as one byte per
+unit per row (block timing interns thousands of states, so the store
+is kept compact). No trace event occurs more than ``window - 1``
+cycles after issue (``window`` = the largest group's
+``max_event_cycle + 1``), so occupancy never extends more than
 ``window`` cycles past the last issue and every state has at most
 ``window`` rows — the "issue width × max latency × unit counts" bound.
 The *reachable* subset of that space is still far too large to
@@ -39,12 +41,12 @@ through 100k states while a breadth-first frontier is still growing),
 so the compiler is demand-driven: a small deterministic breadth-first
 prefix is compiled at attach time (and persisted under the model's
 content digest so parallel workers and later processes reuse it), and
-every state actually visited during scheduling is interned and its
-transitions memoized on first use. Once ``budget`` distinct states have
-been interned, new states stop being recorded and queries from unknown
-states fall back to the interpreted walker (counted as
-``pipeline.table_fallbacks``); tracking resumes for free once the
-pipeline drains.
+every state actually visited during scheduling and timing is interned
+and its transitions memoized on first use. Once ``budget`` distinct
+states have been interned, new states stop being recorded and queries
+from unknown states fall back to the interpreted walker (counted as
+``pipeline.table_fallbacks``, or in ``PipelineTables.misses`` for a
+lean stream); tracking resumes for free once the pipeline drains.
 
 Transitions are *computed by the interpreted walker itself* — a scratch
 :class:`~repro.pipeline.state.PipelineState` is loaded with the state's
@@ -59,7 +61,7 @@ import json
 import os
 import tempfile
 
-from ..isa.registers import reg_code
+from ..isa.registers import RegKind, reg_code
 from ..spawn.model import InstructionTiming, MachineModel
 from .state import PipelineState
 
@@ -91,12 +93,20 @@ def _default_cache_dir() -> str:
 class PipelineTables:
     """Interned structural states + memoized transitions for one model.
 
-    ``keys[sid]`` is the canonical row tuple of state ``sid`` (state 0
-    is the empty machine); ``transitions[sid][group]`` maps a timing
-    group to ``(fit, next_sid)`` where ``fit`` is the offset of the
-    earliest structural fit from the queried cycle and ``next_sid`` the
-    state after committing there (None when the successor was past the
-    budget — the stall answer is still valid, only tracking is lost).
+    A table run interns thousands of states, so both are stored
+    compactly. ``keys[sid]`` is the canonical key of state ``sid``: its
+    per-cycle free-unit rows relative to "now", one byte per unit per
+    row, trailing idle rows trimmed (state 0, ``b""``, is the empty
+    machine). ``transitions`` is one flat map for every state and
+    timing group, ``group << sid_bits | sid -> fit | (next_sid + 1) <<
+    fit_bits``: one small int per transition rather than a tuple keeps
+    the thousands of long-lived entries few and small, and the state
+    id in the low key bits spreads the keys over the hash table.
+    ``fit`` is the offset of the earliest structural fit from the
+    queried cycle and ``next_sid`` the state after committing there
+    (None, stored as 0, when the successor was past the budget — the
+    stall answer is still valid, only tracking is lost). :meth:`rows`
+    and :meth:`state_transitions` decode both.
     """
 
     def __init__(self, model: MachineModel, *, budget: int = DEFAULT_BUDGET) -> None:
@@ -104,12 +114,28 @@ class PipelineTables:
         self.budget = budget
         self.window = self._window(model)
         self.capacity = tuple(model.unit_capacity)
-        self.keys: list[tuple] = [()]
-        self.ids: dict[tuple, int] = {(): 0}
+        if any(count > 255 for count in self.capacity):
+            raise ValueError(
+                f"{model.name}: unit capacities above 255 do not fit the "
+                "one-byte-per-unit state encoding"
+            )
+        self._idle_row = bytes(self.capacity)
+        self._width = len(self.capacity)
+        #: every state id is below the budget
+        self._sid_bits = budget.bit_length()
+        #: a fit is at most the window (all occupancy has expired by then)
+        self._fit_bits = self.window.bit_length()
+        self._fit_mask = (1 << self._fit_bits) - 1
+        self.keys: list[bytes] = [b""]
+        self.ids: dict[bytes, int] = {b"": 0}
         self.advance: list[int | None] = [0]  # empty advances to itself
-        self.transitions: list[dict[int, tuple[int, int | None]]] = [{}]
+        self.transitions: dict[int, int] = {}
         #: True once an intern was refused because of the budget.
         self.exhausted = False
+        #: lean-stream walks (:class:`LeanPipeline`) these tables could
+        #: not carry to the end (:class:`TableMiss`); each was redone on
+        #: the interpreted path.
+        self.misses = 0
         #: group id -> prepared events for the group's bare trace.
         self._group_prepared: dict[int, object] = {}
         #: how many states the on-disk cache entry held when these
@@ -132,9 +158,40 @@ class PipelineTables:
     def states(self) -> int:
         return len(self.keys)
 
+    # -- encoding ------------------------------------------------------------
+
+    def rows(self, sid: int) -> tuple[tuple[int, ...], ...]:
+        """State ``sid``'s free-unit rows, one tuple per cycle."""
+        return tuple(map(tuple, self._split(self.keys[sid])))
+
+    def _split(self, key: bytes) -> list[bytes]:
+        """``key``'s rows, one ``bytes`` slice per cycle."""
+        width = self._width or 1  # a unitless machine has only b""
+        return [key[start : start + width] for start in range(0, len(key), width)]
+
+    def _unpacked(self):
+        """``(sid, group, fit, next_sid)`` per transition, in learning
+        order: :meth:`lookup`'s decoding, without a lookup per entry."""
+        bits = self._sid_bits
+        mask = (1 << bits) - 1
+        fit_bits = self._fit_bits
+        fit_mask = self._fit_mask
+        for key, packed in self.transitions.items():
+            successor = packed >> fit_bits
+            yield key & mask, key >> bits, packed & fit_mask, (
+                successor - 1 if successor else None
+            )
+
+    def state_transitions(self) -> list[dict[int, tuple[int, int | None]]]:
+        """Per state, ``{group: (fit, next_sid)}`` in learning order."""
+        out: list[dict[int, tuple[int, int | None]]] = [{} for _ in self.keys]
+        for sid, group, fit, next_sid in self._unpacked():
+            out[sid][group] = (fit, next_sid)
+        return out
+
     # -- interning -----------------------------------------------------------
 
-    def _intern(self, key: tuple) -> int | None:
+    def _intern(self, key: bytes) -> int | None:
         sid = self.ids.get(key)
         if sid is not None:
             return sid
@@ -145,35 +202,31 @@ class PipelineTables:
         self.ids[key] = sid
         self.keys.append(key)
         self.advance.append(None)
-        self.transitions.append({})
         return sid
 
     def intern_from_state(self, state: PipelineState, origin: int) -> int | None:
         """Intern the live occupancy of ``state`` at/after ``origin``."""
         free = state._free
-        length = len(free)
-        capacity = self.capacity
-        rows = [
-            tuple(free[c]) if c < length else capacity
-            for c in range(origin, origin + self.window)
-        ]
-        while rows and rows[-1] == capacity:
+        idle = self._idle_row
+        rows = [bytes(row) for row in free[origin : origin + self.window]]
+        while rows and rows[-1] == idle:
             rows.pop()
-        return self._intern(tuple(rows))
+        return self._intern(b"".join(rows))
 
     def advance_to(self, sid: int, cycles: int) -> int | None:
         """The state ``cycles`` idle cycles after state ``sid``."""
         keys = self.keys
         advance = self.advance
+        width = self._width
         while cycles > 0:
             key = keys[sid]
             if not key:
                 return sid  # empty stays empty
-            if cycles >= len(key):
+            if cycles * width >= len(key):
                 return 0  # all occupancy expires
             nxt = advance[sid]
             if nxt is None:
-                nxt = self._intern(key[1:])
+                nxt = self._intern(key[width:])
                 if nxt is None:
                     return None
                 advance[sid] = nxt
@@ -188,16 +241,23 @@ class PipelineTables:
         learning (and memoizing) it on first use. None only when the
         group's trace does not fit the compiled window (cannot happen
         for groups known at attach time)."""
-        transition = self.transitions[sid].get(group)
-        if transition is None:
-            transition = self._learn(sid, group)
-            if transition is None:
-                return None
-            self.transitions[sid][group] = transition
+        key = group << self._sid_bits | sid
+        packed = self.transitions.get(key)
+        if packed is not None:
+            successor = packed >> self._fit_bits
+            return packed & self._fit_mask, successor - 1 if successor else None
+        transition = self._learn(sid, group)
+        if transition is not None:
+            self._store(key, transition)
         return transition
 
+    def _store(self, key: int, transition: tuple[int, int | None]) -> None:
+        fit, next_sid = transition
+        successor = 0 if next_sid is None else next_sid + 1
+        self.transitions[key] = fit | successor << self._fit_bits
+
     def _learn(self, sid: int, group: int) -> tuple[int, int | None] | None:
-        from .stalls import _prepare_uncached, _search
+        from .stalls import _materialize, _prepare_uncached, _search
 
         trace = self.model.group_trace(group)
         if trace.max_event_cycle + 1 > self.window:
@@ -211,10 +271,8 @@ class PipelineTables:
             prepared = _prepare_uncached(bare)
             self._group_prepared[group] = prepared
         scratch = PipelineState(self.model, use_tables=False)
-        scratch._free = [list(row) for row in self.keys[sid]]
+        scratch._free = [list(row) for row in self._split(self.keys[sid])]
         fit = _search(0, scratch, prepared)
-        from .stalls import _materialize
-
         for interval in _materialize(fit, 0, prepared).intervals:
             scratch.commit_interval(interval)
         next_sid = self.intern_from_state(scratch, fit)
@@ -229,17 +287,19 @@ class PipelineTables:
         under the model's content digest."""
         limit = min(max_states, self.budget)
         groups = list(range(self.model.group_count))
+        width = self._width
         frontier = 0
         while frontier < len(self.keys) and len(self.keys) < limit:
             sid = frontier
             key = self.keys[sid]
             if key and self.advance[sid] is None:
-                self.advance[sid] = self._intern(key[1:])
+                self.advance[sid] = self._intern(key[width:])
             for group in groups:
-                if group not in self.transitions[sid]:
+                key = group << self._sid_bits | sid
+                if key not in self.transitions:
                     transition = self._learn(sid, group)
                     if transition is not None:
-                        self.transitions[sid][group] = transition
+                        self._store(key, transition)
                 if len(self.keys) >= limit:
                     break
             frontier += 1
@@ -269,22 +329,35 @@ class PipelineTables:
         memoized transition, eager prefix and lazily learned alike.
         (The eager prefix is deterministic; learned states depend on
         what was scheduled, but every persisted transition was computed
-        by the interpreted walker, so any superset is equally valid.)"""
+        by the interpreted walker, so any superset is equally valid.)
+
+        Learned states are persisted from inside scheduling requests,
+        so the decoding is kept cheap: the few distinct rows are decoded
+        once and shared, and transitions are unpacked in one sweep."""
+        decoded: dict[bytes, list[int]] = {}
+        keys = []
+        for key in self.keys:
+            rows = []
+            for row in self._split(key):
+                values = decoded.get(row)
+                if values is None:
+                    values = decoded[row] = list(row)
+                rows.append(values)
+            keys.append(rows)
+        transitions: list[list[tuple[int, int, int | None]]] = [[] for _ in self.keys]
+        for sid, group, fit, next_sid in self._unpacked():
+            transitions[sid].append((group, fit, next_sid))
+        for table in transitions:
+            table.sort()
         return {
             "version": _CACHE_VERSION,
             "window": self.window,
             "capacity": list(self.capacity),
             "groups": self.model.group_count,
             "groups_sig": self._groups_fingerprint(),
-            "keys": [[list(row) for row in key] for key in self.keys],
+            "keys": keys,
             "advance": self.advance,
-            "transitions": [
-                sorted(
-                    (group, fit, next_sid)
-                    for group, (fit, next_sid) in table.items()
-                )
-                for table in self.transitions
-            ],
+            "transitions": transitions,
         }
 
     def load_payload(self, payload: dict) -> bool:
@@ -298,10 +371,8 @@ class PipelineTables:
             or payload.get("groups_sig") != self._groups_fingerprint()
         ):
             return False
-        keys = [
-            tuple(tuple(row) for row in key) for key in payload["keys"]
-        ]
-        if not keys or keys[0] != ():
+        keys = [b"".join(bytes(row) for row in key) for key in payload["keys"]]
+        if not keys or keys[0] != b"":
             return False
         if len(keys) > self.budget:
             keys = keys[: self.budget]
@@ -313,13 +384,12 @@ class PipelineTables:
             for sid in payload["advance"][:known]
         ]
         self.advance[0] = 0
-        self.transitions = [
-            {
-                group: (fit, next_sid if (next_sid is None or next_sid < known) else None)
-                for group, fit, next_sid in table
-            }
-            for table in payload["transitions"][:known]
-        ]
+        self.transitions = {}
+        for sid, table in enumerate(payload["transitions"][:known]):
+            for group, fit, next_sid in table:
+                if next_sid is not None and next_sid >= known:
+                    next_sid = None
+                self._store(group << self._sid_bits | sid, (fit, next_sid))
         return True
 
 
@@ -328,21 +398,43 @@ class TableMiss(Exception):
     caller must redo the work with the full interpreted machinery."""
 
 
-def _lean_accesses(
-    timing: InstructionTiming,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The timing's register accesses with each :class:`Reg` replaced
-    by a dense int code, memoized on the timing object. The coding is
-    a bijection, so the lean history dictionaries partition streams
-    exactly as the Reg-keyed ones do."""
+#: Dense register codes (:func:`~repro.isa.registers.reg_code`) stay
+#: below this bound. A lean stream keeps its register history in one
+#: flat list: the cycle each register's latest value becomes usable at
+#: ``code``, and one past the latest cycle it was read at
+#: ``_REG_CODES + code``.
+_REG_CODES = len(RegKind) << 5
+
+
+def _lean_record(timing: InstructionTiming) -> tuple:
+    """``(group, bounds, reads, writes)`` for a lean issue of
+    ``timing``, memoized on the timing object.
+
+    ``bounds`` lists every register lower bound on the start cycle as
+    ``(history index, rel)``: ``start >= history[index] - rel``. A read
+    is bounded by its register's write (RAW); a write by the previous
+    write (WAW) and by one past the last read (WAR). ``reads`` and
+    ``writes`` are the history updates an issue commits. Registers map
+    to their dense codes one to one, so the lean history partitions
+    streams exactly as the ``Reg``-keyed history does."""
     try:
-        return timing._lean_reads, timing._lean_writes
+        return timing._lean_record
     except AttributeError:
-        reads = tuple((reg_code(reg), rel) for reg, rel in timing.reads)
-        writes = tuple((reg_code(reg), rel) for reg, rel in timing.writes)
-        object.__setattr__(timing, "_lean_reads", reads)
-        object.__setattr__(timing, "_lean_writes", writes)
-        return reads, writes
+        reads = [(reg_code(reg), rel) for reg, rel in timing.reads]
+        writes = [(reg_code(reg), rel) for reg, rel in timing.writes]
+        bounds = reads + [
+            bound
+            for code, rel in writes
+            for bound in ((code, rel), (_REG_CODES + code, rel))
+        ]
+        record = (
+            timing.group,
+            tuple(bounds),
+            tuple((_REG_CODES + code, rel + 1) for code, rel in reads),
+            tuple(writes),
+        )
+        object.__setattr__(timing, "_lean_record", record)
+        return record
 
 
 class LeanPipeline:
@@ -354,7 +446,7 @@ class LeanPipeline:
     The trade is that there is no interpreted walker to fall back to
     mid-stream (the occupancy rows were never maintained), so the
     moment a query cannot be served from the tables
-    (:class:`TableMiss`) the caller restarts the whole region on a full
+    (:class:`TableMiss`) the caller restarts the whole stream on a full
     :class:`~repro.pipeline.state.PipelineState`. The register
     lower-bound logic mirrors
     :func:`repro.pipeline.stalls._table_query`, and the commit mirrors
@@ -362,44 +454,33 @@ class LeanPipeline:
     full runs are byte-identical where both complete.
     """
 
-    __slots__ = ("tables", "sid", "origin", "write_cy", "read_cy")
+    __slots__ = ("tables", "sid", "origin", "history")
 
     def __init__(self, tables: PipelineTables) -> None:
         self.tables = tables
         self.sid = 0
         self.origin = 0
-        #: reg code -> cycle its latest written value becomes usable.
-        self.write_cy: dict = {}
-        #: reg code -> latest cycle the reg was read.
-        self.read_cy: dict = {}
+        #: register history, laid out as described at ``_REG_CODES``.
+        self.history = [0] * (2 * _REG_CODES)
 
     def query(self, cycle: int, timing: InstructionTiming) -> tuple[int, int | None]:
         """Earliest issue cycle >= ``cycle`` for ``timing``, plus the
         table state after committing there. Raises :class:`TableMiss`
         when the tables cannot answer."""
-        reads, writes = _lean_accesses(timing)
-        lb = cycle
-        write_cy = self.write_cy
-        read_cy = self.read_cy
-        for code, rel in reads:  # RAW
-            t = write_cy.get(code, 0) - rel
-            if t > lb:
-                lb = t
-        for code, rel in writes:  # WAW / WAR
-            t = write_cy.get(code, 0) - rel
-            if t > lb:
-                lb = t
-            t = read_cy.get(code, -1) + 1 - rel
-            if t > lb:
-                lb = t
-        sid = self.tables.advance_to(self.sid, lb - self.origin)
+        group, bounds, _, _ = _lean_record(timing)
+        history = self.history
+        for index, rel in bounds:
+            bound = history[index] - rel
+            if bound > cycle:
+                cycle = bound
+        tables = self.tables
+        sid = tables.advance_to(self.sid, cycle - self.origin)
         if sid is None:
             raise TableMiss
-        transition = self.tables.lookup(sid, timing.group)
+        transition = tables.lookup(sid, group)
         if transition is None:
             raise TableMiss
-        fit, next_sid = transition
-        return lb + fit, next_sid
+        return cycle + transition[0], transition[1]
 
     def commit(
         self, timing: InstructionTiming, issue_cycle: int, next_sid: int | None
@@ -410,15 +491,22 @@ class LeanPipeline:
             raise TableMiss  # successor was past the interning budget
         self.sid = next_sid
         self.origin = issue_cycle
-        reads, writes = _lean_accesses(timing)
-        read_cy = self.read_cy
-        write_cy = self.write_cy
-        for code, rel in reads:
+        _, _, reads, writes = _lean_record(timing)
+        history = self.history
+        for index, rel in reads:
             cycle = issue_cycle + rel
-            if cycle > read_cy.get(code, -1):
-                read_cy[code] = cycle
-        for code, rel in writes:
-            write_cy[code] = issue_cycle + rel
+            if cycle > history[index]:
+                history[index] = cycle
+        for index, rel in writes:
+            history[index] = issue_cycle + rel
+
+    def issue(self, cycle: int, timing: InstructionTiming) -> int:
+        """Issue ``timing`` at the earliest cycle >= ``cycle`` and commit
+        it, for streams that never weigh candidates against each other
+        (block and trace timing)."""
+        issue_cycle, next_sid = self.query(cycle, timing)
+        self.commit(timing, issue_cycle, next_sid)
+        return issue_cycle
 
 
 def _cache_path(digest: str, directory: str) -> str:
@@ -560,7 +648,11 @@ def _atomic_write(path: str, payload: dict) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                # One-shot ``dumps`` runs the C encoder; streaming
+                # ``dump`` runs the pure-Python one, about 8x slower on
+                # thousands of states, and learned states are persisted
+                # from inside scheduling requests. Same text either way.
+                handle.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

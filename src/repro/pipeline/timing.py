@@ -21,6 +21,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..spawn.model import MachineModel
 from .stalls import issue
 from .state import PipelineState
+from .tables import LeanPipeline, TableMiss
 
 
 @dataclass
@@ -44,23 +45,57 @@ def timed_run(
     count_executions: bool = False,
     recorder: Recorder | None = None,
 ) -> TimedRun:
-    """Run ``executable`` functionally while timing it on ``model``."""
+    """Run ``executable`` functionally while timing it on ``model``.
+
+    With compiled tables attached and no live recorder, every executed
+    instruction issues through a :class:`LeanPipeline`. When the tables
+    cannot carry the stream (:class:`TableMiss`, counted in
+    ``tables.misses``) the program is run again on a full
+    :class:`PipelineState` through :func:`issue`, so the cycle count is
+    the interpreted walker's either way.
+    """
     rec = recorder if recorder is not None else NULL_RECORDER
-    state = PipelineState(model)
-    last_issue = -1
 
-    def hook(address: int, inst) -> None:
-        nonlocal last_issue
-        last_issue = issue(max(last_issue, 0), state, inst, rec).issue_cycle
-
-    with rec.span("pipeline.timed_run"):
-        result = executable.run(
+    def run(hook):
+        return executable.run(
             max_instructions=max_instructions,
             count_executions=count_executions,
             on_execute=hook,
         )
+
+    with rec.span("pipeline.timed_run"):
+        tables = model.tables
+        if tables is not None and not rec.enabled:
+            try:
+                return _lean_timed_run(model, LeanPipeline(tables), run)
+            except TableMiss:
+                tables.misses += 1
+        state = PipelineState(model)
+        last_issue = -1
+
+        def hook(address: int, inst) -> None:
+            nonlocal last_issue
+            last_issue = issue(max(last_issue, 0), state, inst, rec).issue_cycle
+
+        result = run(hook)
     return TimedRun(
         cycles=last_issue + 1,
         instructions=result.instructions_executed,
         result=result,
+    )
+
+
+def _lean_timed_run(model: MachineModel, lean: LeanPipeline, run) -> TimedRun:
+    timing = model.timing
+    lean_issue = lean.issue
+    cycle = 0
+
+    def hook(address: int, inst) -> None:
+        nonlocal cycle
+        cycle = lean_issue(cycle, timing(inst))
+
+    result = run(hook)
+    executed = result.instructions_executed
+    return TimedRun(
+        cycles=cycle + 1 if executed else 0, instructions=executed, result=result
     )

@@ -230,14 +230,17 @@ class ShardSupervisor:
         broken = False
         handled = 0
         try:
+            futures = []
             try:
-                futures = [
-                    pool.submit(self.fn, self.make_payload(unit.items))
-                    for unit in units
-                ]
-            except OSError:
-                queue.extend(units)
-                raise
+                for unit in units:
+                    futures.append(pool.submit(self.fn, self.make_payload(unit.items)))
+            except BrokenProcessPool:
+                # A submitted unit killed its worker before the rest went
+                # in. Drain what was submitted below (the first future to
+                # fail is the suspect); the units never submitted re-run
+                # cautiously with no penalty.
+                queue.extend(units[len(futures) :])
+                units = units[: len(futures)]
             for unit, future in zip(units, futures):
                 if broken:
                     # The pool died while an earlier future was draining.

@@ -394,9 +394,9 @@ def generate_source(model: MachineModel, tables=None) -> str:
     if tables is not None:
         source += _TABLES_APPENDIX.format(
             states=tables.states,
-            keys=tuple(tables.keys),
+            keys=tuple(tables.rows(sid) for sid in range(tables.states)),
             advance=list(tables.advance),
-            transitions=list(tables.transitions),
+            transitions=tables.state_transitions(),
             window=tables.window,
         )
     return source

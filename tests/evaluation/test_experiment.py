@@ -2,6 +2,8 @@
 qualitative shape the paper reports (small trip counts keep this fast;
 the full tables live in benchmarks/)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cache import ICacheModel
@@ -115,6 +117,22 @@ def test_run_table_renders(capsys):
     assert "130.li" in text
     assert "101.tomcatv" in text
     assert "%" in text
+
+
+def test_run_table_trip_count_keeps_every_other_config_field(monkeypatch):
+    """A trip-count override replaces that one field; non-default
+    fields of the table's protocol reach the experiments unchanged."""
+    config = replace(
+        TABLE_CONFIGS[1],
+        trace_timing=False,
+        max_instructions=400_000,
+        optimizer_restarts=2,
+        use_cache=False,
+    )
+    monkeypatch.setitem(TABLE_CONFIGS, 1, config)
+    table = run_table(1, benchmarks=("130.li",), trip_count=6)
+    assert table.config == replace(config, trip_count=6)
+    assert [row.benchmark for row in table.rows] == ["130.li"]
 
 
 def test_table_averages():

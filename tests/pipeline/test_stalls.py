@@ -228,12 +228,12 @@ def test_profiling_sequence_cost_matches_paper(ultra, supersparc):
 
 
 def test_prepare_cache_is_model_keyed():
-    """Regression: the shared prepared-events cache is keyed by the
-    model's content digest. Timing-group ids are handed out per model in
+    """Regression: the shared prepared-events cache is keyed by timing
+    content, not group ids. Timing-group ids are handed out per model in
     formation order, so two different machines routinely assign the same
     ``(group, reads, writes)`` triple to *different* pipeline traces —
-    ``add`` on hypersparc and ultrasparc is one such pair. A digest-free
-    key would hand the second machine the first machine's prepared
+    ``add`` on hypersparc and ultrasparc is one such pair. A key on that
+    triple would hand the second machine the first machine's prepared
     events and silently mis-time it."""
     from repro.pipeline.stalls import _prepare
     from repro.spawn.library import description_text, load_machine_from_source
@@ -252,8 +252,8 @@ def test_prepare_cache_is_model_keyed():
 
     # Warm the shared cache with hypersparc first, then demand the
     # ultrasparc bundle: it must be built from the ultrasparc trace.
-    prepared_h = _prepare(timing_h, hyper)
-    prepared_u = _prepare(timing_u, ultra)
+    prepared_h = _prepare(timing_h)
+    prepared_u = _prepare(timing_u)
     assert prepared_u is not prepared_h
     assert prepared_u.acquires != prepared_h.acquires
 
@@ -276,3 +276,29 @@ def test_prepare_cache_is_model_keyed():
         cycle_i = issue(cycle_i, state, item).issue_cycle
         cycle_g = module.issue(cycle_g, gen_state, item)
         assert cycle_i == cycle_g
+
+
+def test_prepare_cache_tells_apart_models_of_one_description():
+    """Regression: two models built from the *same* description number
+    their timing groups in the order they first meet instructions, so
+    ``ld`` and ``add`` — equal register accesses, different traces on
+    the SuperSPARC — can both be group 0. Digest plus group id named
+    one cache entry for both; the trace content tells them apart."""
+    from repro.pipeline.stalls import _prepare, _prepare_uncached
+    from repro.spawn.library import description_text, load_machine_from_source
+
+    load = Instruction("ld", rd=r(3), rs1=r(1), rs2=r(2))
+    add = Instruction("add", rd=r(3), rs1=r(1), rs2=r(2))
+    source = description_text("supersparc")
+    first = load_machine_from_source(source, "supersparc").timing(load)
+    second = load_machine_from_source(source, "supersparc").timing(add)
+    assert (first.group, first.reads, first.writes) == (
+        second.group,
+        second.reads,
+        second.writes,
+    )
+    assert first.trace.signature() != second.trace.signature()
+
+    assert _prepare(first).acquires == _prepare_uncached(first).acquires
+    assert _prepare(second).acquires == _prepare_uncached(second).acquires
+    assert _prepare(second).acquires != _prepare(first).acquires

@@ -9,6 +9,13 @@ under every verify seed, and — end to end — byte-identical output from
 ``qpt instrument --schedule``. Transitions are *learned from* the
 interpreted walker (:meth:`~repro.pipeline.tables.PipelineTables._learn`),
 so agreement is by construction; this battery pins it empirically.
+
+The timing battery holds block timing (``BlockSimulator.block_cycles``,
+the optimizer's doubled-block score) and trace timing (``timed_run``)
+to the same standard over every SPEC95 stand-in, with and without slow
+profiling: a walker model and a table model must report the same
+cycles, also when a tiny interning budget forces the lean table stream
+to miss mid-run and redo its work on the interpreted path.
 """
 
 import json
@@ -18,9 +25,13 @@ import pytest
 from repro.core.list_scheduler import ListScheduler
 from repro.core.regions import split_regions
 from repro.core.verify import verify_schedule
+from repro.eel.cfg import build_cfg
 from repro.obs.recorder import MetricsRecorder
-from repro.obs.report import TABLE_FALLBACKS, TABLE_HITS
-from repro.pipeline.tables import attach_tables, detach_tables
+from repro.obs.report import STALL_CYCLES, TABLE_FALLBACKS, TABLE_HITS
+from repro.pipeline.simulator import BlockSimulator, issue_cycles
+from repro.pipeline.tables import PipelineTables, attach_tables, detach_tables
+from repro.pipeline.timing import timed_run
+from repro.qpt.profiling import SlowProfiler
 from repro.spawn.library import (
     MACHINES,
     description_text,
@@ -28,8 +39,17 @@ from repro.spawn.library import (
 )
 from repro.tools.qpt_cli import main
 from repro.workloads import WorkloadSpec, generate, sum_loop
+from repro.workloads.spec95 import CFP95, CINT95, generate_benchmark
 
 VERIFY_SEEDS = (101, 202, 303)
+
+#: Loop trip count of the timing battery's SPEC95 stand-ins: every loop
+#: still runs more than once, and a machine's battery takes seconds.
+BATTERY_TRIPS = 3
+
+#: An interning budget below what one stand-in visits, so lean streams
+#: run out of table states part-way through.
+TINY_BUDGET = 64
 
 _WORKLOADS = (
     WorkloadSpec(
@@ -148,3 +168,134 @@ def test_cli_output_bytes_identical(tmp_path):
     assert json.loads((tmp_path / "with.rxe.json").read_text()) == json.loads(
         (tmp_path / "without.rxe.json").read_text()
     )
+
+
+# -- timing battery: block and trace timing, walker vs tables -------------------
+
+
+@pytest.fixture(scope="module")
+def spec95():
+    """(name, executable) for every SPEC95 stand-in and its slow-profiled
+    version."""
+    executables = []
+    for name in CINT95 + CFP95:
+        executable = generate_benchmark(name, trip_count=BATTERY_TRIPS).executable
+        executables.append((name, executable))
+        profiled = SlowProfiler(executable).instrument().executable
+        executables.append((f"{name} (profiled)", profiled))
+    return executables
+
+
+@pytest.fixture(scope="module")
+def spec95_regions(spec95):
+    return [
+        list(region.instructions)
+        for _, executable in spec95
+        for block in build_cfg(executable)
+        for region in split_regions(list(block.body))
+        if region.instructions
+    ]
+
+
+def _walker_and_table_models(machine, **attach):
+    walker = _fresh_model(machine)
+    assert walker.tables is None
+    tabled = _fresh_model(machine)
+    attach_tables(tabled, use_disk_cache=False, **attach)
+    return walker, tabled
+
+
+def _timed(model, executable):
+    run = timed_run(model, executable)
+    return run.cycles, run.instructions
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_timed_run_identical_on_spec95(machine, spec95):
+    walker, tabled = _walker_and_table_models(machine)
+    for name, executable in spec95:
+        assert _timed(tabled, executable) == _timed(walker, executable), name
+    assert tabled.tables.misses == 0
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_block_cycles_identical_on_every_region_and_its_double(
+    machine, spec95_regions
+):
+    """Block timing and the optimizer's score, which issues a region
+    twice in one stream, against the walker's fresh-pipeline timing of
+    the region and of its doubled copy."""
+    walker, tabled = _walker_and_table_models(machine)
+    reference = BlockSimulator(walker)
+    block_cycles = BlockSimulator(tabled).block_cycles
+    for region in spec95_regions:
+        once = reference.time_block(region).issue_cycles
+        twice = reference.time_block(region + region).issue_cycles
+        assert block_cycles(region) == once
+        assert block_cycles(region + region) == twice
+        assert issue_cycles(tabled, region, copies=2) == [once, twice]
+    assert tabled.tables.misses == 0
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_tiny_budget_misses_mid_run_and_stays_exact(
+    machine, spec95, spec95_regions
+):
+    walker, tabled = _walker_and_table_models(machine, budget=TINY_BUDGET)
+    for name, executable in spec95[:4]:
+        assert _timed(tabled, executable) == _timed(walker, executable), name
+    run_misses = tabled.tables.misses
+    assert run_misses > 0
+    reference = BlockSimulator(walker)
+    for region in spec95_regions[:400]:
+        double = region + region
+        assert issue_cycles(tabled, region, copies=2) == [
+            reference.time_block(region).issue_cycles,
+            reference.time_block(double).issue_cycles,
+        ]
+    assert tabled.tables.misses > run_misses
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_recorded_timed_run_hazard_buckets_identical(machine, spec95):
+    """With a live recorder ``timed_run`` attributes every stall; the
+    buckets must not depend on whether tables answered."""
+    walker, tabled = _walker_and_table_models(machine)
+    snapshots = []
+    for model in (walker, tabled):
+        recorder = MetricsRecorder()
+        for _, executable in spec95[:4]:
+            timed_run(model, executable, recorder=recorder)
+        snapshots.append(recorder.metrics.snapshot())
+    walker_stats, table_stats = snapshots
+    assert _comparable(table_stats) == _comparable(walker_stats)
+    assert walker_stats["counters"][STALL_CYCLES], "no stall was attributed"
+    hits = sum(c["value"] for c in table_stats["counters"].get(TABLE_HITS, ()))
+    assert hits > 0, "tables attached but never answered a query"
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_payload_decodes_the_compact_store_and_round_trips(machine, spec95):
+    """The disk payload lists every state's rows and every transition
+    exactly as :meth:`rows`, :meth:`state_transitions` and
+    :meth:`lookup` decode them, for eager and lazily learned states, and
+    reloading it reproduces it."""
+    _, tabled = _walker_and_table_models(machine)
+    tables = tabled.tables
+    eager = tables.states
+    for _, executable in spec95[:2]:
+        timed_run(tabled, executable)
+    assert tables.states > eager, "timing learned no state beyond the prefix"
+    payload = tables.payload()
+    by_state = tables.state_transitions()
+    assert len(payload["keys"]) == len(by_state) == tables.states
+    for sid, (rows, table) in enumerate(zip(payload["keys"], by_state)):
+        assert rows == [list(row) for row in tables.rows(sid)]
+        assert payload["transitions"][sid] == sorted(
+            (group, fit, next_sid) for group, (fit, next_sid) in table.items()
+        )
+        for group, transition in table.items():
+            assert tables.lookup(sid, group) == transition
+    reloaded = PipelineTables(tabled, budget=tables.budget)
+    assert reloaded.load_payload(json.loads(json.dumps(payload)))
+    assert reloaded.payload() == payload

@@ -7,7 +7,8 @@ hangs (sleeps past the deadline), and actual pool teardown, not mocks.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -150,6 +151,65 @@ def test_pool_factory_failure_quarantines_everything():
     assert not outcome.completed
     assert sorted(x for items in outcome.quarantined for x in items) == [1, 2, 3]
     assert outcome.degraded
+    assert any("no worker pool" in f.detail for f in outcome.failures)
+
+
+class InlinePool:
+    """A deterministic stand-in for a process pool: each unit runs in the
+    calling process, and a unit holding the poison "kills the worker" —
+    its future fails with ``BrokenProcessPool`` and every later submit
+    raises it synchronously, as a real pool does once it is broken.
+    ``submit_error`` is raised by the second submit instead."""
+
+    def __init__(self, submit_error=None):
+        self.broken = False
+        self.submits = 0
+        self.submit_error = submit_error
+
+    def submit(self, fn, payload):
+        self.submits += 1
+        if self.submit_error is not None and self.submits == 2:
+            raise self.submit_error
+        if self.broken:
+            raise BrokenProcessPool("a worker died; the pool is unusable")
+        future = Future()
+        if POISON in payload:
+            self.broken = True
+            future.set_exception(BrokenProcessPool("worker process died"))
+        else:
+            future.set_result(fn(payload))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_breaking_during_submit_requeues_the_rest_unpenalized():
+    # The poison kills its worker before the second unit is submitted,
+    # so that submit raises BrokenProcessPool synchronously. Only the
+    # poisoned unit is charged; the unsubmitted ones re-run cleanly.
+    outcome = make_supervisor(
+        echo, retries=1, factory=lambda queued: InlinePool()
+    ).run([[POISON, 1], [2, 3], [4]])
+    assert outcome.quarantined == [[POISON]]
+    assert [(f.kind, f.items, f.attempt) for f in outcome.failures] == [
+        ("crash", 2, 1),
+        ("crash", 1, 2),
+    ]
+    assert outcome.crashes == 2
+    assert completed_items(outcome) == [[1], [2, 3], [4]]
+
+
+def test_submit_oserror_quarantines_every_unit_once():
+    pools = []
+
+    def factory(queued):
+        pools.append(InlinePool(submit_error=OSError("cannot start a worker")))
+        return pools[-1]
+
+    outcome = make_supervisor(echo, factory=factory).run([[1, 2], [3], [4]])
+    assert not outcome.completed
+    assert outcome.quarantined == [[1, 2], [3], [4]]
     assert any("no worker pool" in f.detail for f in outcome.failures)
 
 
