@@ -3,12 +3,15 @@
 The tentpole claim for ``repro.pipeline.tables``: answering stall
 queries from the compiled ``(state, group) -> (stalls, next state)``
 tables makes the list scheduler at least ~5x faster on the bench
-matrix, while producing byte-identical schedules. This bench measures
-both halves — the speedup lands in ``BENCH_headline.json`` as the
-``table_speedup`` column, and one ledger record per machine feeds the
-``qpt benchmarks gate`` noise bands.
+matrix than the interpreted walker, while producing byte-identical
+schedules. The walker is a twin model whose tables never answer
+(``tests/walker_tables.py``). This bench measures both halves — the
+speedup lands in ``BENCH_headline.json`` as the ``table_speedup``
+column, and one ledger record per machine feeds the ``qpt benchmarks
+gate`` noise bands.
 """
 
+import sys
 import time
 
 from conftest import REPO_ROOT, save_result
@@ -17,9 +20,12 @@ from repro.core.list_scheduler import ListScheduler
 from repro.core.regions import split_regions
 from repro.obs import append_record, make_record
 from repro.obs.ledger import DEFAULT_LEDGER_NAME
-from repro.pipeline.tables import attach_tables, detach_tables
+from repro.pipeline.tables import attach_tables
 from repro.spawn.library import MACHINES, description_text, load_machine_from_source
 from repro.workloads.generator import WorkloadSpec, generate
+
+sys.path.insert(0, str(REPO_ROOT))
+from tests.walker_tables import use_walker  # noqa: E402
 
 #: The bench matrix: mixed int/fp workloads at the paper's block sizes.
 _SEEDS = (11, 12, 13)
@@ -57,18 +63,21 @@ def _timed_pass(scheduler, regions, repeats=3):
     return results, best
 
 
-def _measure(model, regions):
+def _measure(machine, regions):
     """(interp seconds, table seconds, compile seconds, states,
     mismatches) for scheduling the whole corpus both ways."""
-    scheduler = ListScheduler(model)
+    # Private models: tables set here must not perturb the shared
+    # load_machine() instances other benches time.
+    walker = use_walker(load_machine_from_source(description_text(machine), machine))
+    scheduler = ListScheduler(walker)
     scheduler.schedule_region(regions[0])  # warm the model caches
     baseline, interp_s = _timed_pass(scheduler, regions)
 
+    model = load_machine_from_source(description_text(machine), machine)
     start = time.perf_counter()
     tables = attach_tables(model, use_disk_cache=False)
     compile_s = time.perf_counter() - start
-    accelerated, table_s = _timed_pass(scheduler, regions)
-    detach_tables(model)
+    accelerated, table_s = _timed_pass(ListScheduler(model), regions)
 
     mismatches = sum(
         1
@@ -87,11 +96,8 @@ def test_table_speedup(once):
 
     def run():
         for machine in MACHINES:
-            # A private model: attaching tables here must not perturb
-            # the shared load_machine() instances other benches time.
-            model = load_machine_from_source(description_text(machine), machine)
             interp_s, table_s, compile_s, states, mismatches = _measure(
-                model, regions
+                machine, regions
             )
             speedup = interp_s / table_s if table_s else float("inf")
             speedups[machine] = speedup

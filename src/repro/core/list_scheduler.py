@@ -120,12 +120,7 @@ class ListScheduler:
             heights = chain_lengths(self.model, graph)
         with rec.span("core.forward_pass"):
             order = exit_cycle = None
-            if (
-                entry_state is None
-                and not rec.enabled
-                and self.provenance is None
-                and self.model.tables is not None
-            ):
+            if entry_state is None and not rec.enabled and self.provenance is None:
                 # Table-only fast path: no telemetry or provenance to
                 # feed and no threaded state, so the pass needs neither
                 # the occupancy timeline nor interval commits. Any

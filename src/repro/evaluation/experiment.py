@@ -34,7 +34,6 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..parallel.cache import ScheduleCache
 from ..parallel.executor import ParallelOptions, make_transform
 from ..pipeline.simulator import BlockSimulator
-from ..pipeline.tables import attach_tables
 from ..pipeline.timing import timed_run
 from ..qpt.profiling import SlowProfiler
 from ..robust.guard import GuardBudget
@@ -197,11 +196,6 @@ def run_profiling_experiment(
     else:
         model = load_machine(config.machine)
         calibration_machine = config.machine
-    if model.tables is None:
-        # Block scoring and trace timing issue through the compiled
-        # stall tables. They are compiled (or loaded from the disk
-        # cache) here, in the run, so loading a machine stays cheap.
-        attach_tables(model)
     if program is None:
         program = generate_benchmark(
             benchmark, machine=calibration_machine, trip_count=config.trip_count

@@ -25,11 +25,10 @@ HAZARDS = "pipeline.hazards"
 #: Committed instruction issues (one per ``pipeline.stalls.issue``).
 ISSUES = "pipeline.issues"
 
-#: Issues on a table-compiled model (``repro.pipeline.tables``) whose
-#: stall walk was served from the precomputed transition table, vs.
-#: issues that fell back to the interpreted walker (state tracking lost
-#: past the enumeration budget). Only counted when tables are attached;
-#: plain interpreted models record neither.
+#: Issues whose stall walk was served from the model's compiled
+#: transition tables (``repro.pipeline.tables``), vs. issues that fell
+#: back to the interpreted walker (state tracking lost past the
+#: enumeration budget, or a machine the tables cannot encode).
 TABLE_HITS = "pipeline.table_hits"
 TABLE_FALLBACKS = "pipeline.table_fallbacks"
 

@@ -13,8 +13,8 @@ Two cooperating pieces (see ``docs/performance.md``):
   differential suite in ``tests/parallel/`` holds that equivalence.
 
 Worker processes come from the persistent spawn-once pool in
-:mod:`repro.parallel.pool` — models stay hot and compiled pipeline
-tables stay attached across builds, which is what makes parallel-cold
+:mod:`repro.parallel.pool` — models and their compiled pipeline tables
+stay hot across builds, which is what makes parallel-cold
 faster than serial instead of slower (see ``docs/performance.md``).
 
 Both compose with guarded scheduling: the guard serves only *verified*

@@ -31,13 +31,13 @@ fault-injected ones) degrade to the serial path, counted under
 
 Worker processes are *persistent* (:mod:`repro.parallel.pool`): the
 optimistic round leases a shared spawn-once pool whose workers hold
-hot models with compiled pipeline tables attached at startup, so
+hot models with their pipeline tables compiled at startup, so
 repeated builds pay IPC and scheduling — not fork, model rebuild, and
-table attach — and shards are sized adaptively to amortize that IPC
-over larger region batches. On a host whose OS offers only one CPU the
-pool degrades further, to an in-process fast path
+table compilation — and shards are sized adaptively to amortize that
+IPC over larger region batches. On a host whose OS offers only one CPU
+the pool degrades further, to an in-process fast path
 (:class:`~repro.parallel.pool.InlineLease`): the same worker entry
-point runs on the same warm table-attached model with zero IPC,
+point runs on the same warm model and tables with zero IPC,
 because fan-out that time-slices a single core is pure overhead.
 Cautious retry rounds still run in fresh single-worker pools for exact
 crash attribution, and a pool the supervisor kills is retired so the
@@ -173,7 +173,7 @@ def _schedule_shard(payload):
     """Schedule one shard's regions; runs in a worker process.
 
     ``payload`` is (model name, SADL source, policy, regions, verify?,
-    trials, seed, telemetry?, tables?). Returns ``(results, snapshot)``: one
+    trials, seed, telemetry?). Returns ``(results, snapshot)``: one
     ``(digest, order, original_cycles, scheduled_cycles, verified,
     checksum)`` tuple per region in input order, plus — when
     ``telemetry`` is set — a
@@ -187,15 +187,15 @@ def _schedule_shard(payload):
     the result (``parallel.ipc_rejected``) on any mismatch, so a
     corrupted IPC message can cost a re-schedule but never an edit.
     """
-    name, source, policy, regions, verify, trials, seed, telemetry, tables = payload
-    # Tables attach on a worker's *first* contact with a model and stay
-    # attached for the process lifetime — in a persistent pool that is
+    name, source, policy, regions, verify, trials, seed, telemetry = payload
+    # Tables compile on a worker's *first* contact with a model and
+    # stay for the process lifetime — in a persistent pool that is
     # effectively "at startup". The eager prefix is loaded from the
     # disk cache keyed by the model's content digest — compiled once
     # (usually by the parent), read by every worker — and tables cannot
     # change schedules, only their cost, so a worker that misses the
     # cache and recompiles still returns identical results.
-    model = warm_worker_model(name, source, tables)
+    model = warm_worker_model(name, source)
     recorder = MetricsRecorder() if telemetry else None
     scheduler = ListScheduler(model, policy, recorder)
     # In-parent (inline pool) execution may reuse collect-time digests;
@@ -236,14 +236,13 @@ def _schedule_shard(payload):
                 ),
             )
         )
-    if tables:
-        # Give back what this shard learned: states interned beyond the
-        # eager prefix go to the disk cache (size-guarded, so steady
-        # state writes nothing) and the next fresh process skips the
-        # first-pass learning cost entirely.
-        from ..pipeline.tables import persist_learned
+    # Give back what this shard learned: states interned beyond the
+    # eager prefix go to the disk cache (size-guarded, so steady state
+    # writes nothing) and the next fresh process skips the first-pass
+    # learning cost entirely.
+    from ..pipeline.tables import persist_learned
 
-        persist_learned(model)
+    persist_learned(model)
     snapshot = recorder.metrics.snapshot() if recorder is not None else None
     return out, snapshot
 
@@ -453,11 +452,6 @@ class ParallelScheduler:
                 self.verify_trials,
                 self.verify_seed,
                 self.recorder.enabled,
-                # Workers always schedule through compiled tables (they
-                # attach once per process, from the shared disk cache)
-                # even when the parent runs interpreted: tables are
-                # schedule-invariant, so this is free speed, not drift.
-                True,
             )
 
         context = _mp_context(self.start_method)

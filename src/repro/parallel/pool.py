@@ -3,7 +3,7 @@
 PR 3's executor built a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
 per edit, so every build paid the full fixed cost of parallelism again:
 fork the workers, rebuild the machine model from SADL source in each
-one, attach compiled pipeline tables, then throw it all away. On the
+one, compile its pipeline tables, then throw it all away. On the
 bench matrix that overhead exceeded the scheduling work itself —
 parallel-cold ran at 0.58× serial.
 
@@ -16,17 +16,17 @@ of once-per-build:
 - **Hot models.** :func:`worker_model` is an ``lru_cache`` *in the
   worker process*; with a persistent worker, the SADL rebuild happens
   once per digest and every later shard reuses the compiled model.
-- **Tables at startup.** Workers attach compiled
-  :class:`~repro.pipeline.tables.PipelineTables` when they first see a
-  model — loaded from the shared disk cache keyed by the model's
-  content digest — and keep them attached for the lease's lifetime and
-  every lease after it. Tables change scheduling *cost*, never
-  scheduling *results* (the PR 8 differential battery), so pooled
-  schedules stay byte-identical to serial ones.
-- **Fork inheritance.** :func:`prewarm_parent` builds the worker-side
-  model and attaches its tables in the *parent* before the pool
-  spawns; under the ``fork`` start method every worker inherits the hot
-  model for free and the per-worker rebuild disappears entirely.
+- **Tables at startup.** Workers compile a model's
+  :class:`~repro.pipeline.tables.PipelineTables` when they first see
+  it — loaded from the shared disk cache keyed by the model's content
+  digest — and keep them for the lease's lifetime and every lease
+  after it. Tables change scheduling *cost*, never scheduling
+  *results* (the differential battery), so pooled schedules stay
+  byte-identical to serial ones.
+- **Fork inheritance.** :func:`warm_worker_model` runs in the *parent*
+  before a ``fork`` pool spawns, building the worker-side model and
+  its tables there; every worker inherits the hot model for free and
+  the per-worker rebuild disappears entirely.
 
 Supervision is unchanged. A lease satisfies the
 :class:`~repro.robust.supervise.ShardSupervisor` pool protocol
@@ -43,7 +43,7 @@ single CPU (``os.cpu_count() == 1``), process fan-out cannot pay — the
 workers time-slice one core and every IPC hop adds scheduler latency —
 so :meth:`PoolManager.acquire` hands out an :class:`InlineLease`
 instead: shards run through the *same* worker entry point on the same
-warm, table-attached model, in the parent process, with zero IPC. The
+warm model and tables, in the parent process, with zero IPC. The
 trade is explicit: an inline shard that hangs cannot be killed by the
 supervisor's deadline (exceptions still route through the ordinary
 retry machinery), which is why inline service is only offered when the
@@ -83,23 +83,14 @@ def worker_model(name: str, source: str) -> MachineModel:
     return load_machine_from_source(source, name)
 
 
-def warm_worker_model(name: str, source: str, tables: bool = True) -> MachineModel:
-    """Build ``worker_model(name, source)`` and attach its compiled
-    tables (from the shared disk cache). Idempotent; the entry point a
-    pool initializer runs in each worker at spawn, and
-    :func:`prewarm_parent` runs in the parent before a fork spawn."""
+def warm_worker_model(name: str, source: str) -> MachineModel:
+    """Build ``worker_model(name, source)`` and its compiled tables
+    (from the shared disk cache). Idempotent; the entry point a pool
+    initializer runs in each worker at spawn, and the parent runs
+    before a fork spawn so children inherit a hot model."""
     model = worker_model(name, source)
-    if tables and model.tables is None:
-        from ..pipeline.tables import attach_tables
-
-        attach_tables(model)
+    model.tables  # compiled on first read
     return model
-
-
-def prewarm_parent(name: str, source: str, *, tables: bool = True) -> None:
-    """Populate the parent-side :func:`worker_model` cache so ``fork``
-    children inherit a hot model and attached tables at spawn."""
-    warm_worker_model(name, source, tables)
 
 
 #: Environment override for the inline fast path: "1" forces it on
@@ -130,7 +121,7 @@ class InlineLease:
     Satisfies the same supervisor pool protocol as :class:`PoolLease`,
     but ``submit`` runs the task *in the parent process, synchronously*,
     on the same warm model state real workers would hold (the
-    process-wide :func:`worker_model` cache plus attached tables — that
+    process-wide :func:`worker_model` cache and its models' tables — that
     cache IS this pool's persistent warm state). Exceptions are
     captured into the returned future, so the supervisor's penalize/
     bisect/retry machinery behaves exactly as with a worker that raised;
@@ -278,7 +269,7 @@ class PoolManager:
         recorder = recorder if recorder is not None else NULL_RECORDER
         if allow_inline and _inline_eligible(jobs):
             if warm is not None:
-                prewarm_parent(*warm)
+                warm_worker_model(*warm)
             with self._lock:
                 if warm in self._inline_warm:
                     self.reuses += 1
@@ -311,7 +302,7 @@ class PoolManager:
                 name, source = warm
                 if method == "fork":
                     # Build in the parent; children inherit at fork.
-                    prewarm_parent(name, source)
+                    warm_worker_model(name, source)
                 initializer = warm_worker_model
                 initargs = (name, source)
             generation = self._generations.get(key, 0) + 1

@@ -12,14 +12,7 @@ from .stalls import (
     walk,
 )
 from .state import HeldInterval, PipelineState
-from .tables import (
-    LeanPipeline,
-    PipelineTables,
-    TableMiss,
-    attach_tables,
-    compile_tables,
-    detach_tables,
-)
+from .tables import LeanPipeline, PipelineTables, TableMiss, attach_tables
 from .timing import TimedRun, timed_run
 from .viz import schedule_chart, unit_occupancy
 
@@ -42,8 +35,6 @@ __all__ = [
     "all_hazards",
     "attach_tables",
     "attribute_stalls",
-    "compile_tables",
-    "detach_tables",
     "explain_stall",
     "issue",
     "ooo_timed_run",

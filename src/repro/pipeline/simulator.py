@@ -79,8 +79,8 @@ class BlockSimulator:
     def block_cycles(self, instructions: list[Instruction]) -> int:
         """The issue-cycle cost of a block. With a live recorder this is
         :meth:`time_block`, whose issues attribute their stalls;
-        otherwise :func:`issue_cycles`, which walks the compiled tables
-        when the model has them."""
+        otherwise :func:`issue_cycles`, which walks the compiled
+        tables."""
         if self.recorder.enabled:
             return self.time_block(instructions).issue_cycles
         return issue_cycles(self.model, instructions)[0]
@@ -99,9 +99,9 @@ def issue_cycles(
     """Issue ``copies`` back-to-back copies of ``instructions`` through
     one fresh in-order stream; the issue-cycle cost after each copy.
 
-    With compiled tables attached the stream is a
-    :class:`~repro.pipeline.tables.LeanPipeline`. When the tables cannot
-    carry it (:class:`~repro.pipeline.tables.TableMiss`, counted in
+    The stream is a :class:`~repro.pipeline.tables.LeanPipeline` over
+    the model's compiled tables. When the tables cannot carry it
+    (:class:`~repro.pipeline.tables.TableMiss`, counted in
     ``tables.misses``) the whole stream is redone on a
     :class:`PipelineState` through :func:`issue`, so the answer is the
     interpreted walker's either way.
@@ -109,12 +109,11 @@ def issue_cycles(
     if not instructions:
         return [0] * copies
     tables = model.tables
-    if tables is not None:
-        timings = [model.timing(inst) for inst in instructions]
-        try:
-            return _stream(LeanPipeline(tables).issue, timings, copies)
-        except TableMiss:
-            tables.misses += 1
+    timings = [model.timing(inst) for inst in instructions]
+    try:
+        return _stream(LeanPipeline(tables).issue, timings, copies)
+    except TableMiss:
+        tables.misses += 1
     state = PipelineState(model)
     return _stream(
         lambda cycle, inst: issue(cycle, state, inst).issue_cycle,

@@ -18,6 +18,11 @@ holds are written onto the state's timeline and its register reads and
 writes update the history. Keeping the query and the commit as one walk
 guarantees the two can never disagree — the original achieved this by
 generating both from the same Spawn annotations.
+
+Every query is first put to the model's compiled transition tables
+(:mod:`repro.pipeline.tables`) through the state's lean stream; the
+interpreted walk below answers only what the tables cannot, and is the
+reference the tables learn from.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from ..isa.registers import Reg
 from ..obs.report import ISSUES, TABLE_FALLBACKS, TABLE_HITS
 from ..spawn.model import InstructionTiming
 from .state import HeldInterval, PipelineState
+from .tables import TableMiss
 
 #: Safety bound: a candidate that cannot issue within this many cycles
 #: indicates an impossible resource demand (caught earlier by the model
@@ -155,18 +161,11 @@ def pipeline_stalls(cycle: int, state: PipelineState, inst: Instruction) -> int:
 
 def stall_query(cycle: int, state: PipelineState, timing: InstructionTiming) -> int:
     """The stall count alone — :func:`walk` without materializing the
-    occupancy intervals. This is the scheduler's per-candidate query;
-    with compiled tables attached it is a pair of dictionary lookups."""
-    if state.tables is not None:
-        hit = _table_query(cycle, state, timing)
-        if hit is not None:
-            return hit[0] - cycle
-    prepared = _prepare(timing)
-    return _search(cycle, state, prepared) - cycle
-
-
-#: sentinel: issue() computed the walk without a table transition.
-_NO_TABLE = object()
+    occupancy intervals. This is the scheduler's per-candidate query,
+    usually a pair of dictionary lookups in the model's tables."""
+    hit = _table_hit(cycle, state, timing)
+    start = _search(cycle, state, _prepare(timing)) if hit is None else hit[0]
+    return start - cycle
 
 
 def issue(
@@ -182,50 +181,26 @@ def issue(
     ``NullRecorder``) records nothing and adds no work.
     """
     timing = state.model.timing(inst)
-    tables = state.tables
-    next_sid = _NO_TABLE
-    if tables is not None:
-        hit = _table_query(cycle, state, timing)
-        if hit is not None:
-            issue_cycle, next_sid = hit
-            result = _materialize(
-                issue_cycle, cycle, _prepare(timing)
-            )
-        else:
-            result = walk(cycle, state, timing)
-    else:
-        result = walk(cycle, state, timing)
+    prepared = _prepare(timing)
+    hit = _table_hit(cycle, state, timing)
+    issue_cycle = _search(cycle, state, prepared) if hit is None else hit[0]
+    result = _materialize(issue_cycle, cycle, prepared)
     if recorder is not None and recorder.enabled:
         from .diagnose import attribute_stalls  # lazy: diagnose imports us
 
         recorder.count(ISSUES)
-        if tables is not None:
-            recorder.count(
-                TABLE_HITS if next_sid is not _NO_TABLE else TABLE_FALLBACKS
-            )
+        recorder.count(TABLE_FALLBACKS if hit is None else TABLE_HITS)
         if result.stalls:
-            attribute_stalls(
-                recorder,
-                state,
-                _prepare(timing),
-                cycle,
-                result.issue_cycle,
-            )
+            attribute_stalls(recorder, state, prepared, cycle, issue_cycle)
     for interval in result.intervals:
         state.commit_interval(interval)
-    for reg, read_cycle in result.reads:
-        state.commit_read(reg, read_cycle)
-    for reg, avail in result.writes:
-        state.commit_write(reg, avail)
-    if tables is not None:
-        state.origin = result.issue_cycle
-        if next_sid is _NO_TABLE or next_sid is None:
-            # Table tracking lost (interpreted fallback, or the next
-            # state was past the enumeration budget): re-intern the
-            # live occupancy so tracking resumes when possible.
-            state.sid = tables.intern_from_state(state, result.issue_cycle)
-        else:
-            state.sid = next_sid
+    next_sid = None if hit is None else hit[1]
+    if next_sid is None:
+        # Table tracking lost (interpreted fallback, or the next state
+        # was past the interning budget): re-intern the live occupancy
+        # so tracking resumes when possible.
+        next_sid = state.tables.intern_from_state(state, issue_cycle)
+    state.commit(timing, issue_cycle, next_sid)
     return result
 
 
@@ -233,12 +208,28 @@ def walk(cycle: int, state: PipelineState, timing: InstructionTiming) -> WalkRes
     """Find the earliest issue cycle >= ``cycle`` for ``timing`` and
     describe the resulting pipeline occupancy, without mutating
     ``state``."""
-    if state.tables is not None:
-        hit = _table_query(cycle, state, timing)
-        if hit is not None:
-            return _materialize(hit[0], cycle, _prepare(timing))
     prepared = _prepare(timing)
-    return _materialize(_search(cycle, state, prepared), cycle, prepared)
+    hit = _table_hit(cycle, state, timing)
+    start = _search(cycle, state, prepared) if hit is None else hit[0]
+    return _materialize(start, cycle, prepared)
+
+
+def _table_hit(
+    cycle: int, state: PipelineState, timing: InstructionTiming
+) -> tuple[int, int | None] | None:
+    """``(issue_cycle, next_state_id)`` from the model's tables through
+    the state's lean stream, or None when the caller must fall back to
+    the interpreted search."""
+    if state.sid is None and cycle >= len(state._free):
+        # Tracking was lost, but the machine has drained (no occupancy
+        # at or after `cycle`): the state is empty again and tracking
+        # resumes for free.
+        state.sid = 0
+        state.origin = cycle
+    try:
+        return state.query(cycle, timing)
+    except TableMiss:
+        return None
 
 
 def _search(cycle: int, state: PipelineState, prepared: _Prepared) -> int:
@@ -253,60 +244,6 @@ def _search(cycle: int, state: PipelineState, prepared: _Prepared) -> int:
             raise PipelineDeadlock(
                 "instruction cannot issue; impossible resource demand"
             )
-
-
-def _table_query(
-    cycle: int, state: PipelineState, timing: InstructionTiming
-) -> tuple[int, int | None] | None:
-    """Answer a walk from the compiled tables: ``(issue_cycle,
-    next_state_id)``, or None when the query cannot be served (tracking
-    lost, or the enumeration budget is exhausted) and the caller must
-    fall back to the interpreted search.
-
-    Register hazards are monotone lower bounds on the start cycle (a
-    check that passes at ``s`` passes at every ``s' > s``), so the
-    earliest legal issue is the first *structural* fit at or after the
-    register lower bound — which is exactly what the transition table
-    stores per (state, timing class).
-    """
-    tables = state.tables
-    sid = state.sid
-    if sid is None:
-        # Tracking was lost past the budget; once the machine has
-        # drained (no occupancy at or after `cycle`), the state is
-        # empty again and tracking can resume for free.
-        if cycle >= len(state._free):
-            sid = 0
-            state.sid = 0
-            state.origin = cycle
-        else:
-            return None
-    origin = state.origin
-    if cycle < origin:  # pragma: no cover - schedulers query monotonically
-        return None
-    # Earliest start satisfying every register constraint.
-    lb = cycle
-    write_cy = state.write_cy
-    read_cy = state.read_cy
-    for reg, rel in timing.reads:  # RAW
-        t = write_cy.get(reg, 0) - rel
-        if t > lb:
-            lb = t
-    for reg, rel in timing.writes:  # WAW / WAR
-        t = write_cy.get(reg, 0) - rel
-        if t > lb:
-            lb = t
-        t = read_cy.get(reg, -1) + 1 - rel
-        if t > lb:
-            lb = t
-    sid = tables.advance_to(sid, lb - origin)
-    if sid is None:
-        return None
-    transition = tables.lookup(sid, timing.group)
-    if transition is None:
-        return None
-    fit, next_sid = transition
-    return lb + fit, next_sid
 
 
 def _fits(start: int, state: PipelineState, prepared: _Prepared) -> bool:

@@ -3,17 +3,18 @@
 The paper's ``pipeline_stalls`` (Appendix A) consults two kinds of
 history: how many copies of each unit are free in each future cycle
 (``UnitValues`` in the C++), and for every architectural register the
-cycle its last value becomes usable (``write_cy``) and the last cycle it
-was read. :class:`PipelineState` keeps both on an absolute-cycle
-timeline that grows lazily as instructions are committed.
+cycle its last value becomes usable and the last cycle it was read.
+:class:`PipelineState` keeps the first on an absolute-cycle timeline
+that grows lazily as instructions are committed, and the second as the
+flat register history of the compiled tables' lean stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa.registers import Reg
 from ..spawn.model import MachineModel
+from .tables import LeanPipeline
 
 
 @dataclass(frozen=True)
@@ -27,39 +28,17 @@ class HeldInterval:
     end: int
 
 
-class PipelineState:
-    """Absolute-cycle occupancy and register history for one in-order
-    instruction stream.
+class Occupancy:
+    """Free units per absolute cycle: the structural half of the
+    pipeline state, and all the interpreted walker needs to place a
+    trace without register accesses."""
 
-    When the model carries compiled transition tables
-    (:mod:`repro.pipeline.tables`), the state additionally tracks which
-    table state its structural occupancy corresponds to (``sid``,
-    relative to absolute cycle ``origin``). The occupancy timeline and
-    register history are maintained identically either way — the tables
-    only replace the stall *search*, never the committed state — so
-    attribution, visualization, and diagnosis read the same data in
-    both modes.
-    """
-
-    def __init__(self, model: MachineModel, *, use_tables: bool = True) -> None:
+    def __init__(self, model: MachineModel) -> None:
         self.model = model
         self._capacity = list(model.unit_capacity)
         self._unit_index = model.unit_index
         #: free units per absolute cycle; grown on demand.
         self._free: list[list[int]] = []
-        #: register -> first absolute cycle its latest value is usable.
-        self.write_cy: dict[Reg, int] = {}
-        #: register -> last absolute cycle it was read.
-        self.read_cy: dict[Reg, int] = {}
-        #: compiled transition tables, when attached to the model.
-        self.tables = getattr(model, "tables", None) if use_tables else None
-        #: table state id of the occupancy at/after ``origin`` (None
-        #: once tracking is lost, e.g. past the enumeration budget).
-        self.sid: int | None = 0 if self.tables is not None else None
-        #: absolute cycle ``sid`` is relative to.
-        self.origin = 0
-
-    # -- unit timeline -------------------------------------------------------
 
     def _row(self, cycle: int) -> list[int]:
         while len(self._free) <= cycle:
@@ -85,20 +64,21 @@ class PipelineState:
                     f"over-committed unit {interval.unit!r} at cycle {cycle}"
                 )
 
-    # -- register history -----------------------------------------------------
 
-    def commit_read(self, reg: Reg, cycle: int) -> None:
-        previous = self.read_cy.get(reg, -1)
-        if cycle > previous:
-            self.read_cy[reg] = cycle
+class PipelineState(Occupancy, LeanPipeline):
+    """Absolute-cycle occupancy and register history for one in-order
+    instruction stream.
 
-    def commit_write(self, reg: Reg, avail_cycle: int) -> None:
-        self.write_cy[reg] = avail_cycle
+    The state is the model's lean table stream
+    (:class:`~repro.pipeline.tables.LeanPipeline`: table state id
+    ``sid`` relative to absolute cycle ``origin``, plus the register
+    history) kept beside its occupancy timeline. Stall queries answer
+    through the stream; when the tables cannot, the interpreted walker
+    answers from the timeline and the stream re-interns it. The
+    timeline and history are committed identically either way, so
+    attribution, visualization, and diagnosis read the same data.
+    """
 
-    def value_ready(self, reg: Reg) -> int:
-        """First absolute cycle the register's current value is usable
-        (0 when never written in this stream)."""
-        return self.write_cy.get(reg, 0)
-
-    def last_read(self, reg: Reg) -> int:
-        return self.read_cy.get(reg, -1)
+    def __init__(self, model: MachineModel) -> None:
+        Occupancy.__init__(self, model)
+        LeanPipeline.__init__(self, model.tables)

@@ -16,9 +16,9 @@ Why the table only needs the structural dimension
 -------------------------------------------------
 Every register hazard in :func:`repro.pipeline.stalls._fits` is a
 monotone lower bound on the start cycle: ``RAW`` requires
-``start >= write_cy[reg] - rel``, ``WAW`` requires
-``start >= write_cy[reg] - rel``, and ``WAR`` requires
-``start >= last_read[reg] + 1 - rel``. A check that passes at ``s``
+``start >= value_ready(reg) - rel``, ``WAW`` requires
+``start >= value_ready(reg) - rel``, and ``WAR`` requires
+``start >= last_read(reg) + 1 - rel``. A check that passes at ``s``
 therefore passes at every later cycle, so the earliest legal issue is
 the first *structural* fit at or after the register lower bound — and
 structural occupancy is a pure function of (current state, timing
@@ -39,17 +39,20 @@ The *reachable* subset of that space is still far too large to
 enumerate eagerly on real machines (the shipped SPARC models blow
 through 100k states while a breadth-first frontier is still growing),
 so the compiler is demand-driven: a small deterministic breadth-first
-prefix is compiled at attach time (and persisted under the model's
-content digest so parallel workers and later processes reuse it), and
-every state actually visited during scheduling and timing is interned
-and its transitions memoized on first use. Once ``budget`` distinct
-states have been interned, new states stop being recorded and queries
-from unknown states fall back to the interpreted walker (counted as
-``pipeline.table_fallbacks``, or in ``PipelineTables.misses`` for a
-lean stream); tracking resumes for free once the pipeline drains.
+prefix is compiled the first time the model's tables are used (and
+persisted under the model's content digest so parallel workers and
+later processes reuse it), and every state actually visited during
+scheduling and timing is interned and its transitions memoized on
+first use. Once ``budget`` distinct states have been interned, new
+states stop being recorded and queries from unknown states fall back
+to the interpreted walker (counted as ``pipeline.table_fallbacks``, or
+in ``PipelineTables.misses`` for a lean stream); tracking resumes for
+free once the pipeline drains. A machine with more than 255 copies of
+a unit does not fit the state encoding: its tables stay empty and
+every query falls back the same way.
 
 Transitions are *computed by the interpreted walker itself* — a scratch
-:class:`~repro.pipeline.state.PipelineState` is loaded with the state's
+:class:`~repro.pipeline.state.Occupancy` is loaded with the state's
 rows and searched with the group's trace — so table and interpreter
 agree by construction; the differential battery in
 ``tests/pipeline/test_table_differential.py`` enforces it end to end.
@@ -57,32 +60,37 @@ agree by construction; the differential battery in
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+import zlib
+from typing import TYPE_CHECKING
 
-from ..isa.registers import RegKind, reg_code
-from ..spawn.model import InstructionTiming, MachineModel
-from .state import PipelineState
+from ..isa.registers import Reg, RegKind, reg_code
+from ..spawn.model import InstructionTiming, MachineModel, ModelError
+
+if TYPE_CHECKING:
+    from .state import Occupancy
 
 #: Default cap on distinct interned states per model. Real workloads
 #: visit far fewer (hundreds to a few thousand); the cap bounds memory
 #: on adversarial inputs.
 DEFAULT_BUDGET = 50_000
 
-#: Default number of states pre-enumerated breadth-first at attach
-#: time. This prefix is deterministic, so it is what the on-disk cache
-#: stores and what every worker process starts from.
-DEFAULT_EAGER_STATES = 256
+#: Number of states pre-enumerated breadth-first when a model's tables
+#: are compiled. This prefix is deterministic, so it is what the
+#: on-disk cache stores and what every worker process starts from.
+EAGER_STATES = 256
 
 #: On-disk cache format version (bump on any layout change).
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 #: Environment override for the on-disk table cache directory.
 CACHE_DIR_ENV = "REPRO_TABLE_CACHE_DIR"
 
 
-def _default_cache_dir() -> str:
+def _cache_dir() -> str:
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
         return override
@@ -114,12 +122,11 @@ class PipelineTables:
         self.budget = budget
         self.window = self._window(model)
         self.capacity = tuple(model.unit_capacity)
-        if any(count > 255 for count in self.capacity):
-            raise ValueError(
-                f"{model.name}: unit capacities above 255 do not fit the "
-                "one-byte-per-unit state encoding"
-            )
-        self._idle_row = bytes(self.capacity)
+        #: False when a unit has more than 255 copies, which the
+        #: one-byte-per-unit state encoding cannot hold: such tables
+        #: learn nothing, and every query misses to the walker.
+        self.encodable = all(count <= 255 for count in self.capacity)
+        self._idle_row = bytes(self.capacity) if self.encodable else b""
         self._width = len(self.capacity)
         #: every state id is below the budget
         self._sid_bits = budget.bit_length()
@@ -136,13 +143,16 @@ class PipelineTables:
         #: not carry to the end (:class:`TableMiss`); each was redone on
         #: the interpreted path.
         self.misses = 0
+        #: disk-cache entries refused (failed checksum, not a table of
+        #: this model, or malformed); each was recompiled and rewritten.
+        self.rejected = 0
         #: group id -> prepared events for the group's bare trace.
         self._group_prepared: dict[int, object] = {}
         #: how many states the on-disk cache entry held when these
         #: tables were compiled/loaded (0 when no disk cache is in
         #: play); :func:`persist_learned` compares against it.
         self.persisted_states = 0
-        #: where :func:`compile_tables` read/wrote the disk entry, so
+        #: where :func:`attach_tables` read/wrote the disk entry, so
         #: lazily learned states can be persisted back to the same file.
         self.cache_path: str | None = None
 
@@ -204,8 +214,10 @@ class PipelineTables:
         self.advance.append(None)
         return sid
 
-    def intern_from_state(self, state: PipelineState, origin: int) -> int | None:
+    def intern_from_state(self, state: Occupancy, origin: int) -> int | None:
         """Intern the live occupancy of ``state`` at/after ``origin``."""
+        if not self.encodable:
+            return None
         free = state._free
         idle = self._idle_row
         rows = [bytes(row) for row in free[origin : origin + self.window]]
@@ -240,7 +252,8 @@ class PipelineTables:
         """The transition for issuing ``group`` from state ``sid``,
         learning (and memoizing) it on first use. None only when the
         group's trace does not fit the compiled window (cannot happen
-        for groups known at attach time)."""
+        for groups known at compile time) or the machine is not
+        :attr:`encodable`."""
         key = group << self._sid_bits | sid
         packed = self.transitions.get(key)
         if packed is not None:
@@ -257,20 +270,24 @@ class PipelineTables:
         self.transitions[key] = fit | successor << self._fit_bits
 
     def _learn(self, sid: int, group: int) -> tuple[int, int | None] | None:
+        # The scratch is a bare occupancy timeline: a PipelineState
+        # would read ``model.tables``, which is what is being compiled.
         from .stalls import _materialize, _prepare_uncached, _search
+        from .state import Occupancy
 
         trace = self.model.group_trace(group)
-        if trace.max_event_cycle + 1 > self.window:
-            # A timing group formed after the tables were compiled, with
-            # a longer trace than the window bound: its successors would
-            # violate the row-count invariant, so it stays interpreted.
+        if not self.encodable or trace.max_event_cycle + 1 > self.window:
+            # Rows the encoding cannot hold, or a timing group formed
+            # after the tables were compiled with a longer trace than
+            # the window bound (its successors would violate the
+            # row-count invariant): both stay interpreted.
             return None
         prepared = self._group_prepared.get(group)
         if prepared is None:
             bare = InstructionTiming(group=group, trace=trace, reads=(), writes=())
             prepared = _prepare_uncached(bare)
             self._group_prepared[group] = prepared
-        scratch = PipelineState(self.model, use_tables=False)
+        scratch = Occupancy(self.model)
         scratch._free = [list(row) for row in self._split(self.keys[sid])]
         fit = _search(0, scratch, prepared)
         for interval in _materialize(fit, 0, prepared).intervals:
@@ -309,20 +326,19 @@ class PipelineTables:
 
     # -- persistence ---------------------------------------------------------
 
-    def _groups_fingerprint(self) -> str:
-        """Order-sensitive digest of the group-id -> trace-signature
-        assignment. Group ids are handed out in formation order, so a
-        model that scheduled before the tables were attached can number
-        the same signatures differently than a freshly built one; a
-        persisted table is only valid under the exact assignment it was
-        compiled with."""
-        import hashlib
-
-        signatures = [
-            self.model.group_trace(g).signature()
+    def _group_signatures(self) -> list[str]:
+        """Per timing group id, a digest of the group's trace signature.
+        Group ids are handed out in formation order, so two models of
+        one description number the same traces differently when they
+        first meet instructions in a different order; a persisted table
+        names its groups by these digests, and loading maps them onto
+        this model's ids."""
+        return [
+            hashlib.sha256(
+                repr(self.model.group_trace(g).signature()).encode()
+            ).hexdigest()[:16]
             for g in range(self.model.group_count)
         ]
-        return hashlib.sha256(repr(signatures).encode()).hexdigest()[:16]
 
     def payload(self) -> dict:
         """The JSON-serializable table content: every interned state and
@@ -353,43 +369,68 @@ class PipelineTables:
             "version": _CACHE_VERSION,
             "window": self.window,
             "capacity": list(self.capacity),
-            "groups": self.model.group_count,
-            "groups_sig": self._groups_fingerprint(),
+            "groups": self._group_signatures(),
             "keys": keys,
             "advance": self.advance,
             "transitions": transitions,
         }
 
-    def load_payload(self, payload: dict) -> bool:
-        """Adopt a persisted prefix; False when it does not match this
-        model (stale format, different group set or unit inventory)."""
-        if (
-            payload.get("version") != _CACHE_VERSION
-            or payload.get("window") != self.window
-            or tuple(payload.get("capacity", ())) != self.capacity
-            or payload.get("groups") != self.model.group_count
-            or payload.get("groups_sig") != self._groups_fingerprint()
-        ):
+    def load_payload(self, payload) -> bool:
+        """Adopt a persisted table. False, leaving these tables as they
+        were, when it is not a table of this model (stale format,
+        different group set or unit inventory) or is malformed."""
+        if not isinstance(payload, dict) or (
+            payload.get("version"),
+            payload.get("window"),
+            payload.get("capacity"),
+        ) != (_CACHE_VERSION, self.window, list(self.capacity)):
             return False
-        keys = [b"".join(bytes(row) for row in key) for key in payload["keys"]]
-        if not keys or keys[0] != b"":
+        try:
+            ids = {sig: gid for gid, sig in enumerate(self._group_signatures())}
+            gids = {
+                index: ids.pop(sig, None)
+                for index, sig in enumerate(payload["groups"])
+            }
+            if ids or None in gids.values():
+                return False  # a different group set
+            keys = [b"".join(bytes(row) for row in key) for key in payload["keys"]]
+            advance = payload["advance"]
+            transitions = payload["transitions"]
+            width = self._width or 1
+            if (
+                not keys
+                or keys[0] != b""
+                or len(advance) != len(keys)
+                or len(transitions) != len(keys)
+                or any(len(key) % width for key in keys)
+            ):
+                return False
+            known = min(len(keys), self.budget)
+            window = self.window
+            packed = {}
+            for sid, table in enumerate(transitions[:known]):
+                for group, fit, next_sid in table:
+                    if not 0 <= fit <= window:
+                        return False
+                    successor = (
+                        next_sid + 1
+                        if next_sid is not None and 0 <= next_sid < known
+                        else 0
+                    )
+                    packed[gids[group] << self._sid_bits | sid] = (
+                        fit | successor << self._fit_bits
+                    )
+            advance = [
+                sid if sid is not None and 0 <= sid < known else None
+                for sid in advance[:known]
+            ]
+        except (KeyError, TypeError, ValueError):
             return False
-        if len(keys) > self.budget:
-            keys = keys[: self.budget]
-        known = len(keys)
-        self.keys = keys
-        self.ids = {key: sid for sid, key in enumerate(keys)}
-        self.advance = [
-            sid if sid is not None and sid < known else None
-            for sid in payload["advance"][:known]
-        ]
+        self.keys = keys[:known]
+        self.ids = {key: sid for sid, key in enumerate(self.keys)}
+        self.advance = advance
         self.advance[0] = 0
-        self.transitions = {}
-        for sid, table in enumerate(payload["transitions"][:known]):
-            for group, fit, next_sid in table:
-                if next_sid is not None and next_sid >= known:
-                    next_sid = None
-                self._store(group << self._sid_bits | sid, (fit, next_sid))
+        self.transitions = packed
         return True
 
 
@@ -415,8 +456,8 @@ def _lean_record(timing: InstructionTiming) -> tuple:
     is bounded by its register's write (RAW); a write by the previous
     write (WAW) and by one past the last read (WAR). ``reads`` and
     ``writes`` are the history updates an issue commits. Registers map
-    to their dense codes one to one, so the lean history partitions
-    streams exactly as the ``Reg``-keyed history does."""
+    to their dense codes one to one, so the flat history keeps every
+    register apart."""
     try:
         return timing._lean_record
     except AttributeError:
@@ -441,24 +482,25 @@ class LeanPipeline:
     """Table-only pipeline stream: state id + register history, no
     occupancy timeline, no interval arithmetic.
 
-    This is the promise of the compiled tables made literal — an issue
-    is a couple of dictionary lookups plus register-history updates.
-    The trade is that there is no interpreted walker to fall back to
-    mid-stream (the occupancy rows were never maintained), so the
-    moment a query cannot be served from the tables
-    (:class:`TableMiss`) the caller restarts the whole stream on a full
-    :class:`~repro.pipeline.state.PipelineState`. The register
-    lower-bound logic mirrors
-    :func:`repro.pipeline.stalls._table_query`, and the commit mirrors
-    :func:`repro.pipeline.stalls.issue`'s history updates, so lean and
-    full runs are byte-identical where both complete.
+    This is the one stall query of the compiled tables — an issue is a
+    couple of dictionary lookups plus register-history updates. A bare
+    lean stream has no interpreted walker to fall back to mid-stream
+    (the occupancy rows were never maintained), so the moment a query
+    cannot be served from the tables (:class:`TableMiss`) the caller
+    restarts the whole stream on a full
+    :class:`~repro.pipeline.state.PipelineState`: the same stream kept
+    beside an occupancy timeline, which on a miss answers from the
+    interpreted walker instead.
     """
 
     __slots__ = ("tables", "sid", "origin", "history")
 
     def __init__(self, tables: PipelineTables) -> None:
         self.tables = tables
-        self.sid = 0
+        #: table state id of the occupancy at/after ``origin``; None
+        #: once tracking is lost (successor past the interning budget).
+        self.sid: int | None = 0
+        #: absolute cycle ``sid`` is relative to.
         self.origin = 0
         #: register history, laid out as described at ``_REG_CODES``.
         self.history = [0] * (2 * _REG_CODES)
@@ -466,7 +508,19 @@ class LeanPipeline:
     def query(self, cycle: int, timing: InstructionTiming) -> tuple[int, int | None]:
         """Earliest issue cycle >= ``cycle`` for ``timing``, plus the
         table state after committing there. Raises :class:`TableMiss`
-        when the tables cannot answer."""
+        when the tables cannot answer: tracking was lost, ``cycle`` lies
+        before the state's origin, or the state or transition is not in
+        the tables.
+
+        Register hazards are monotone lower bounds on the start cycle (a
+        check that passes at ``s`` passes at every ``s' > s``), so the
+        earliest legal issue is the first *structural* fit at or after
+        the register lower bound — which is exactly what the transition
+        table stores per (state, timing group)."""
+        sid = self.sid
+        origin = self.origin
+        if sid is None or cycle < origin:
+            raise TableMiss
         group, bounds, _, _ = _lean_record(timing)
         history = self.history
         for index, rel in bounds:
@@ -474,7 +528,7 @@ class LeanPipeline:
             if bound > cycle:
                 cycle = bound
         tables = self.tables
-        sid = tables.advance_to(self.sid, cycle - self.origin)
+        sid = tables.advance_to(sid, cycle - origin)
         if sid is None:
             raise TableMiss
         transition = tables.lookup(sid, group)
@@ -485,10 +539,9 @@ class LeanPipeline:
     def commit(
         self, timing: InstructionTiming, issue_cycle: int, next_sid: int | None
     ) -> None:
-        """Commit an issue previously answered by :meth:`query` at the
-        same stream position."""
-        if next_sid is None:
-            raise TableMiss  # successor was past the interning budget
+        """Commit ``timing`` issued at ``issue_cycle``, moving to table
+        state ``next_sid`` (None loses tracking: the next query
+        misses)."""
         self.sid = next_sid
         self.origin = issue_cycle
         _, _, reads, writes = _lean_record(timing)
@@ -508,96 +561,81 @@ class LeanPipeline:
         self.commit(timing, issue_cycle, next_sid)
         return issue_cycle
 
+    def value_ready(self, reg: Reg) -> int:
+        """First absolute cycle the register's current value is usable
+        (0 when never written in this stream)."""
+        return self.history[reg_code(reg)]
 
-def _cache_path(digest: str, directory: str) -> str:
-    return os.path.join(directory, f"tables-{digest}-v{_CACHE_VERSION}.json")
+    def last_read(self, reg: Reg) -> int:
+        """Last absolute cycle the register was read (-1 when never)."""
+        return self.history[_REG_CODES + reg_code(reg)] - 1
+
+
+def _cache_path(digest: str) -> str:
+    return os.path.join(_cache_dir(), f"tables-{digest}-v{_CACHE_VERSION}.json")
 
 
 def _expand_variants(model: MachineModel) -> None:
     """Form every timing group the ISA can produce, so the group set —
     and therefore the compiled table content — is complete and
-    deterministic before enumeration."""
+    deterministic before enumeration. A variant the description cannot
+    time (it raises :class:`~repro.spawn.model.ModelError`) never
+    issues, so it needs no group."""
     from ..isa.opcodes import all_mnemonics
 
     for mnemonic in all_mnemonics():
         if not model.evaluator.has_sem(mnemonic):
             continue
         for uses_imm in (False, True):
-            model._variant(mnemonic, uses_imm)
-
-
-def compile_tables(
-    model: MachineModel,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    eager_states: int = DEFAULT_EAGER_STATES,
-    cache_dir: str | None = None,
-    use_disk_cache: bool = True,
-) -> PipelineTables:
-    """Compile (or load from the content-addressed disk cache) the
-    transition tables for ``model``, without attaching them.
-
-    The eager prefix is persisted under the model's content digest
-    (:func:`repro.parallel.fingerprint.model_digest`) when the model
-    records its SADL source, so parallel workers and later processes
-    skip recompilation.
-    """
-    from ..parallel.fingerprint import model_digest
-
-    _expand_variants(model)
-    tables = PipelineTables(model, budget=budget)
-    path = None
-    if use_disk_cache and model.source is not None:
-        path = _cache_path(model_digest(model), cache_dir or _default_cache_dir())
-    loaded = False
-    if path is not None and os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                loaded = tables.load_payload(json.load(handle))
-        except (OSError, ValueError, KeyError, TypeError, IndexError):
-            loaded = False
-        if not loaded:  # corrupt or stale: recompile below
-            tables = PipelineTables(model, budget=budget)
-    if not loaded:
-        tables.enumerate(eager_states)
-        if path is not None:
-            _atomic_write(path, tables.payload())
-    if path is not None:
-        tables.cache_path = path
-        tables.persisted_states = tables.states
-    return tables
+            try:
+                model._variant(mnemonic, uses_imm)
+            except ModelError:
+                pass
 
 
 def attach_tables(
     model: MachineModel,
     *,
     budget: int = DEFAULT_BUDGET,
-    eager_states: int = DEFAULT_EAGER_STATES,
-    cache_dir: str | None = None,
     use_disk_cache: bool = True,
 ) -> PipelineTables:
-    """Compile (or load) transition tables and attach them to ``model``.
+    """Compile ``model``'s transition tables and make them the model's.
 
-    Every :class:`~repro.pipeline.state.PipelineState` built for the
-    model afterwards routes stall walks through the tables; schedules
-    are byte-identical to the interpreted walker. Re-attaching replaces
-    any previous tables. See :func:`compile_tables` for the caching
-    behavior.
+    This is the one builder: ``model.tables`` calls it on first use, and
+    calling it directly builds them at a chosen moment (or with another
+    ``budget``), replacing any earlier tables. Every stall query on the
+    model answers through them, byte-identically to the interpreted
+    walker.
+
+    The eager prefix is persisted under the model's content digest
+    (:func:`repro.parallel.fingerprint.model_digest`) when the model
+    records its SADL source, in ``$REPRO_TABLE_CACHE_DIR`` or
+    ``$TMPDIR/repro-tables-<uid>``, so parallel workers and later
+    processes skip recompilation. An entry that fails its checksum or
+    is not a table of this model is counted in
+    :attr:`PipelineTables.rejected`, recompiled and rewritten.
     """
-    tables = compile_tables(
-        model,
-        budget=budget,
-        eager_states=eager_states,
-        cache_dir=cache_dir,
-        use_disk_cache=use_disk_cache,
-    )
+    from ..parallel.fingerprint import model_digest
+
+    _expand_variants(model)
+    tables = PipelineTables(model, budget=budget)
+    path = None
+    if use_disk_cache and tables.encodable and model.source is not None:
+        path = _cache_path(model_digest(model))
+    loaded = False
+    if path is not None and os.path.exists(path):
+        loaded = tables.load_payload(_read_entry(path))
+        if not loaded:  # corrupt or stale: recompiled and rewritten below
+            tables.rejected += 1
+    if not loaded:
+        tables.enumerate(EAGER_STATES)
+        if path is not None:
+            _atomic_write(path, tables.payload())
+    if path is not None:
+        tables.cache_path = path
+        tables.persisted_states = tables.states
     model.tables = tables
     return tables
-
-
-def detach_tables(model: MachineModel) -> None:
-    """Return ``model`` to the interpreted walker."""
-    model.tables = None
 
 
 #: Don't bother persisting fewer than this many newly learned states:
@@ -609,7 +647,7 @@ def persist_learned(
     model: MachineModel, *, min_growth: int = PERSIST_MIN_GROWTH
 ) -> bool:
     """Write states learned lazily *during scheduling* back to the
-    disk cache, so the next process to attach this model's tables
+    disk cache, so the next process to compile this model's tables
     starts with them instead of re-learning.
 
     The eager BFS prefix covers the structurally common states, but a
@@ -624,21 +662,38 @@ def persist_learned(
     learned — steady state writes nothing.
     """
     tables = model.tables
-    if tables is None or tables.cache_path is None:
+    if tables.cache_path is None:
         return False
     if tables.states - tables.persisted_states < min_growth:
         return False
-    try:
-        with open(tables.cache_path, "r", encoding="utf-8") as handle:
-            on_disk = len(json.load(handle).get("keys", ()))
-    except (OSError, ValueError, TypeError):
-        on_disk = 0
-    if on_disk >= tables.states:
+    on_disk = _read_entry(tables.cache_path)
+    keys = on_disk.get("keys") if on_disk is not None else None
+    if isinstance(keys, list) and len(keys) >= tables.states:
         tables.persisted_states = tables.states
         return False
     _atomic_write(tables.cache_path, tables.payload())
     tables.persisted_states = tables.states
     return True
+
+
+def _checksum(text: str) -> str:
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
+def _read_entry(path: str) -> dict | None:
+    """The payload a cache file holds, or None when it cannot be read,
+    fails its checksum, or holds no JSON object. The file is the
+    checksum of the JSON text on the first line, then the text, so
+    verifying needs no re-serialization."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            checksum, _, text = handle.read().partition("\n")
+        if checksum != _checksum(text):
+            return None
+        payload = json.loads(text)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def _atomic_write(path: str, payload: dict) -> None:
@@ -652,7 +707,8 @@ def _atomic_write(path: str, payload: dict) -> None:
                 # ``dump`` runs the pure-Python one, about 8x slower on
                 # thousands of states, and learned states are persisted
                 # from inside scheduling requests. Same text either way.
-                handle.write(json.dumps(payload, separators=(",", ":")))
+                text = json.dumps(payload, separators=(",", ":"))
+                handle.write(f"{_checksum(text)}\n{text}")
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -47,9 +47,9 @@ def timed_run(
 ) -> TimedRun:
     """Run ``executable`` functionally while timing it on ``model``.
 
-    With compiled tables attached and no live recorder, every executed
-    instruction issues through a :class:`LeanPipeline`. When the tables
-    cannot carry the stream (:class:`TableMiss`, counted in
+    With no live recorder, every executed instruction issues through a
+    :class:`LeanPipeline` over the model's compiled tables. When the
+    tables cannot carry the stream (:class:`TableMiss`, counted in
     ``tables.misses``) the program is run again on a full
     :class:`PipelineState` through :func:`issue`, so the cycle count is
     the interpreted walker's either way.
@@ -64,8 +64,8 @@ def timed_run(
         )
 
     with rec.span("pipeline.timed_run"):
-        tables = model.tables
-        if tables is not None and not rec.enabled:
+        if not rec.enabled:
+            tables = model.tables
             try:
                 return _lean_timed_run(model, LeanPipeline(tables), run)
             except TableMiss:

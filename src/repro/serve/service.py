@@ -6,7 +6,7 @@ around it, and tests drive it directly. It owns exactly the state the
 one-shot CLI rebuilds from scratch on every invocation:
 
 * **machine models**, built once per machine name and kept hot with
-  compiled pipeline tables attached (the ~100 ms that dominates a cold
+  their compiled pipeline tables (the ~100 ms that dominates a cold
   ``qpt instrument`` run);
 * the **persistent worker pool** (:mod:`repro.parallel.pool`), spawned
   on first use and reused by every request;
@@ -132,17 +132,16 @@ class SchedulingService:
     # -- resources ---------------------------------------------------------------
 
     def model_for(self, machine: str):
-        """The hot, table-attached model for ``machine`` (built once)."""
+        """The hot model for ``machine``, tables compiled (built once)."""
         with self._state_lock:
             model = self._models.get(machine)
         if model is not None:
             return model
         # Build outside the state lock (it takes ~100 ms); a racing
-        # duplicate build is harmless and last-writer-wins.
-        from ..pipeline.tables import attach_tables
-
+        # duplicate build is harmless and last-writer-wins. Reading the
+        # tables compiles them here rather than in the first request.
         model = load_machine(machine)
-        attach_tables(model)
+        model.tables
         with self._state_lock:
             return self._models.setdefault(machine, model)
 

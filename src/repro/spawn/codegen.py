@@ -208,137 +208,9 @@ def _occupy(state, unit, count, begin, end):
         state._row(cycle)[unit] -= count
 '''
 
-_TABLES_APPENDIX = '''
 
-# -- compiled stall-transition tables ({states} states) ----------------------
-# The deterministic eager prefix from repro.pipeline.tables, baked in as
-# data. Queries that leave the prefix fall back to the interpreted loop
-# above; answers are byte-identical either way.
-
-#: per state: tuple of per-cycle free-unit rows, relative to "now"
-TABLE_KEYS = {keys!r}
-
-#: state id -> state id one idle cycle later (None: outside the prefix)
-TABLE_ADVANCE = {advance!r}
-
-#: per state: {{timing group id: (fit offset, next state id)}}
-TABLE_TRANSITIONS = {transitions!r}
-
-#: row tuple -> state id, to re-enter the prefix after a fallback issue
-TABLE_IDS = {{key: sid for sid, key in enumerate(TABLE_KEYS)}}
-
-#: no trace event happens this many cycles or more after issue
-TABLE_WINDOW = {window!r}
-
-
-def _table_query(cycle, state, gid, reads, writes):
-    """(issue cycle, next state id) from the compiled prefix, or None
-    when the query leaves the prefix. Register hazards are monotone
-    lower bounds on the start cycle, so the answer is the first
-    structural fit at or after the register lower bound."""
-    sid = state.sid
-    if sid is None:
-        if cycle >= len(state.free):  # pipeline drained: prefix re-entered
-            sid = 0
-            state.sid = 0
-            state.origin = cycle
-        else:
-            return None
-    if cycle < state.origin:
-        return None
-    lb = cycle
-    write_cy = state.write_cy
-    read_cy = state.read_cy
-    for key, rel in reads:  # RAW
-        t = write_cy.get(key, 0) - rel
-        if t > lb:
-            lb = t
-    for key, rel in writes:  # WAW / WAR
-        t = write_cy.get(key, 0) - rel
-        if t > lb:
-            lb = t
-        t = read_cy.get(key, -1) + 1 - rel
-        if t > lb:
-            lb = t
-    remaining = lb - state.origin
-    while remaining > 0:
-        row_key = TABLE_KEYS[sid]
-        if not row_key:
-            break  # the empty machine stays empty
-        if remaining >= len(row_key):
-            sid = 0  # all tracked occupancy expires
-            break
-        sid = TABLE_ADVANCE[sid]
-        if sid is None:
-            return None
-        remaining -= 1
-    transition = TABLE_TRANSITIONS[sid].get(gid)
-    if transition is None:
-        return None
-    return lb + transition[0], transition[1]
-
-
-def _intern_free(state, origin):
-    """The state id for the live occupancy at/after ``origin``, or None
-    when it lies outside the compiled prefix."""
-    free = state.free
-    length = len(free)
-    rows = []
-    for c in range(origin, origin + TABLE_WINDOW):
-        rows.append(tuple(free[c]) if c < length else UNIT_CAPACITY)
-    while rows and rows[-1] == UNIT_CAPACITY:
-        rows.pop()
-    return TABLE_IDS.get(tuple(rows))
-
-
-def pipeline_stalls(cycle, state, inst):
-    """Table-accelerated ``pipeline_stalls`` — same contract and same
-    answers as the interpreted routine it shadows."""
-    gid = group_of(inst)
-    reads, writes = _resolved(inst, gid)
-    hit = _table_query(cycle, state, gid, reads, writes)
-    if hit is not None:
-        return hit[0] - cycle
-    start = cycle
-    while True:
-        if _fits(start, state, gid, reads, writes):
-            return start - cycle
-        start += 1
-        if start - cycle > 4096:
-            raise RuntimeError("impossible resource demand")
-
-
-def issue(cycle, state, inst):
-    """Table-accelerated ``issue``, tracking the table state id."""
-    gid = group_of(inst)
-    reads, writes = _resolved(inst, gid)
-    hit = _table_query(cycle, state, gid, reads, writes)
-    if hit is not None:
-        start, next_sid = hit
-    else:
-        start = cycle
-        while not _fits(start, state, gid, reads, writes):
-            start += 1
-            if start - cycle > 4096:
-                raise RuntimeError("impossible resource demand")
-        next_sid = None
-    _commit(start, state, inst, gid)
-    state.origin = start
-    state.sid = next_sid if next_sid is not None else _intern_free(state, start)
-    return start
-'''
-
-
-def generate_source(model: MachineModel, tables=None) -> str:
-    """Emit standalone Python source for ``model``'s pipeline_stalls.
-
-    With ``tables`` (a :class:`~repro.pipeline.tables.PipelineTables`
-    compiled from the *same* ``model`` object, so timing-group ids
-    line up), the compiled stall-transition prefix is appended as data
-    and ``pipeline_stalls`` / ``issue`` are shadowed by
-    table-accelerated versions that fall back to the interpreted loop
-    for queries outside the prefix.
-    """
+def generate_source(model: MachineModel) -> str:
+    """Emit standalone Python source for ``model``'s pipeline_stalls."""
     group_of: dict[tuple[str, bool], int] = {}
     acquires: list[tuple] = []
     releases: list[tuple] = []
@@ -391,53 +263,12 @@ def generate_source(model: MachineModel, tables=None) -> str:
         group_writes=tuple(writes),
         group_last_rel=tuple(last_rel),
     )
-    if tables is not None:
-        source += _TABLES_APPENDIX.format(
-            states=tables.states,
-            keys=tuple(tables.rows(sid) for sid in range(tables.states)),
-            advance=list(tables.advance),
-            transitions=tables.state_transitions(),
-            window=tables.window,
-        )
     return source
 
 
-def compile_machine(
-    model: MachineModel,
-    *,
-    tables: bool = False,
-    budget: int | None = None,
-    eager_states: int | None = None,
-    cache_dir: str | None = None,
-    use_disk_cache: bool = True,
-) -> types.ModuleType:
-    """Generate, compile, and return the specialized module.
-
-    ``tables=True`` additionally compiles the machine's
-    stall-transition prefix (:func:`repro.pipeline.tables.compile_tables`
-    — loading it from the content-addressed disk cache when available)
-    and bakes it into the module as data, so the generated
-    ``pipeline_stalls``/``issue`` answer from table lookups and only
-    fall back to the interpreted loop outside the compiled prefix.
-    """
-    compiled_tables = None
-    if tables:
-        from ..pipeline.tables import (
-            DEFAULT_BUDGET,
-            DEFAULT_EAGER_STATES,
-            compile_tables,
-        )
-
-        compiled_tables = compile_tables(
-            model,
-            budget=DEFAULT_BUDGET if budget is None else budget,
-            eager_states=(
-                DEFAULT_EAGER_STATES if eager_states is None else eager_states
-            ),
-            cache_dir=cache_dir,
-            use_disk_cache=use_disk_cache,
-        )
-    source = generate_source(model, tables=compiled_tables)
+def compile_machine(model: MachineModel) -> types.ModuleType:
+    """Generate, compile, and return the specialized module."""
+    source = generate_source(model)
     module = types.ModuleType(f"repro_generated_{model.name}")
     module.__dict__["__source__"] = source
     exec(compile(source, f"<generated {model.name}>", "exec"), module.__dict__)

@@ -17,7 +17,7 @@ file names: ``R`` is the integer file, ``F`` the floating-point file,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from ..isa.instruction import Instruction
 from ..isa.registers import FCC, ICC, Reg, RegKind, Y
@@ -75,11 +75,17 @@ class MachineModel:
         self._group_traces: list[Trace] = []
         self._variant_cache: dict[tuple[str, bool], tuple[int, Trace]] = {}
         self._timing_cache: dict[tuple, InstructionTiming] = {}
-        #: compiled stall-transition tables
-        #: (:class:`repro.pipeline.tables.PipelineTables`), attached by
-        #: :func:`repro.pipeline.tables.attach_tables`; None runs the
-        #: interpreted walker.
-        self.tables = None
+
+    @cached_property
+    def tables(self):
+        """The compiled stall-transition tables
+        (:class:`repro.pipeline.tables.PipelineTables`) every stall query
+        on this model answers through, compiled — or loaded from the
+        disk cache — on first use by
+        :func:`repro.pipeline.tables.attach_tables`."""
+        from ..pipeline import tables
+
+        return tables.attach_tables(self)
 
     # -- group formation ----------------------------------------------------
 

@@ -36,11 +36,10 @@ pre-schedules regions across N worker processes and ``--cache``
 memoizes schedules in the content-addressed cache (both byte-identical
 to a serial, uncached run); ``benchmarks`` times the serial / parallel /
 warm-cache modes against each other and cross-checks their outputs.
-``--schedule`` routes stall queries through compiled stall-transition
-tables by default (``docs/performance.md``); ``--no-tables`` pins the
-interpreted pipeline walker — output bytes are identical either way,
-and ``codegen --tables`` bakes the same table prefix into the emitted
-standalone module.
+Every stall query runs through the machine's compiled
+stall-transition tables, which answer exactly as the interpreted
+pipeline walker does (``docs/performance.md``); ``codegen`` emits
+Spawn's standalone interpreted ``pipeline_stalls`` (Appendix A).
 
 ``--superblock`` (with ``--schedule``) additionally schedules across
 profile-guided superblocks — single-entry fall-through chains formed
@@ -123,7 +122,6 @@ from ..obs import (
     stats_payload,
 )
 from ..parallel import ParallelOptions, make_transform, measure_modes, render_report
-from ..pipeline.tables import attach_tables, detach_tables
 from ..pipeline.timing import timed_run
 from ..qpt.profiling import SlowProfiler
 from ..robust import run_chaos_suite, run_fault_injection
@@ -203,15 +201,6 @@ def cmd_instrument(args) -> int:
     if args.schedule:
         policy = SchedulingPolicy(fill_delay_slots=args.fill_delay_slots)
         model = load_machine(args.machine)
-        if args.tables:
-            # Compiled stall-transition tables: byte-identical schedules,
-            # ~5x the scheduler throughput. --no-tables pins the
-            # interpreted walker (the differential tests compare the two).
-            attach_tables(model)
-        else:
-            # load_machine memoizes models process-wide; an earlier
-            # --tables run must not leak into this one.
-            detach_tables(model)
         # safe: verify every block, fall back + report on failure.
         # strict: the first quarantine raises a typed error, which the
         # top-level handler turns into exit 1. --jobs pre-schedules (and
@@ -909,12 +898,7 @@ def cmd_serve(args) -> int:
 
 def cmd_codegen(args) -> int:
     model = load_machine(args.machine)
-    tables = None
-    if args.tables:
-        from ..pipeline.tables import compile_tables
-
-        tables = compile_tables(model)
-    source = generate_source(model, tables=tables)
+    source = generate_source(model)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(source)
@@ -959,11 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True,
                    help="memoize schedules in the content-addressed "
                    "schedule cache (default on)")
-    p.add_argument("--tables", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="schedule through compiled stall-transition "
-                   "tables (default on; byte-identical to --no-tables, "
-                   "which pins the interpreted pipeline walker)")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_instrument)
 
@@ -1215,9 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codegen", help="emit generated pipeline_stalls")
     p.add_argument("--machine", choices=MACHINES, default="ultrasparc")
     p.add_argument("-o", "--output")
-    p.add_argument("--tables", action="store_true",
-                   help="bake the compiled stall-transition table prefix "
-                   "into the generated module")
     p.set_defaults(func=cmd_codegen)
 
     return parser

@@ -167,21 +167,21 @@ def test_shared_manager_reuses_across_builds():
 # -- learned-table persistence ---------------------------------------------------
 
 
-def test_persist_learned_writes_back_growth(tmp_path):
-    import json
-
+def test_persist_learned_writes_back_growth(tmp_path, monkeypatch):
     from repro.core.list_scheduler import ListScheduler
     from repro.core.regions import split_regions
     from repro.eel.cfg import build_cfg
-    from repro.pipeline.tables import attach_tables, persist_learned
+    from repro.pipeline.tables import CACHE_DIR_ENV, _read_entry, persist_learned
     from repro.spawn.library import description_text, load_machine_from_source
 
     # A private model + private cache dir, so interning here cannot
     # leak into the process-wide caches other tests share.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     source = description_text("ultrasparc")
     model = load_machine_from_source(source, "persist-probe")
-    tables = attach_tables(model, cache_dir=str(tmp_path))
+    tables = model.tables
     assert tables.cache_path is not None
+    assert tables.cache_path.startswith(str(tmp_path))
     assert tables.persisted_states == tables.states
 
     # No growth, no write.
@@ -199,17 +199,17 @@ def test_persist_learned_writes_back_growth(tmp_path):
         pytest.skip("workload interned no new states beyond the eager prefix")
     assert persist_learned(model, min_growth=1) is True
     assert tables.persisted_states == tables.states
-    with open(tables.cache_path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _read_entry(tables.cache_path)
     assert len(payload["keys"]) == tables.states
     # Steady state: a second persist writes nothing.
     assert persist_learned(model, min_growth=1) is False
 
 
 def test_persist_learned_skips_models_without_cache_path():
-    from repro.pipeline.tables import persist_learned
+    from repro.pipeline.tables import attach_tables, persist_learned
     from repro.spawn.library import description_text, load_machine_from_source
 
     model = load_machine_from_source(description_text("ultrasparc"), "no-cache")
-    assert model.tables is None
-    assert persist_learned(model) is False
+    attach_tables(model, use_disk_cache=False)
+    assert model.tables.cache_path is None
+    assert persist_learned(model, min_growth=0) is False

@@ -144,7 +144,7 @@ def test_waw_ordering(hyper):
     issue(0, state, add(3, 1, 2))
     second = issue(0, state, Instruction("sethi", rd=r(3), imm=1))
     # The sethi's write must not land before the add's.
-    assert state.write_cy[r(3)] >= 2
+    assert state.value_ready(r(3)) >= 2
 
 
 def test_fp_add_latency_three_cycles(ultra):

@@ -1,14 +1,16 @@
-"""Differential battery: compiled stall-transition tables vs the
-interpreted pipeline walker.
+"""Differential battery: a model's compiled stall-transition tables vs
+the interpreted pipeline walker.
 
-Tables are an acceleration, not a semantics change. Over the shipped
-machine descriptions and generated workloads, a table-backed scheduler
-must produce identical schedules (order and cycle counts), identical
-stall counts and hazard-attribution buckets, verified-safe reorderings
-under every verify seed, and — end to end — byte-identical output from
-``qpt instrument --schedule``. Transitions are *learned from* the
-interpreted walker (:meth:`~repro.pipeline.tables.PipelineTables._learn`),
-so agreement is by construction; this battery pins it empirically.
+Tables are an acceleration, not a semantics change. The walker is a
+model whose tables never answer (:mod:`tests.walker_tables`), so every
+query takes the exact fallback path. Over the shipped machine
+descriptions and generated workloads, the model's own tables must give
+identical schedules (order and cycle counts), identical stall counts
+and hazard-attribution buckets, verified-safe reorderings under every
+verify seed, and — end to end — byte-identical output from ``qpt
+instrument --schedule``. Transitions are *learned from* the interpreted
+walker (:meth:`~repro.pipeline.tables.PipelineTables._learn`), so
+agreement is by construction; this battery pins it empirically.
 
 The timing battery holds block timing (``BlockSimulator.block_cycles``,
 the optimizer's doubled-block score) and trace timing (``timed_run``)
@@ -26,20 +28,24 @@ from repro.core.list_scheduler import ListScheduler
 from repro.core.regions import split_regions
 from repro.core.verify import verify_schedule
 from repro.eel.cfg import build_cfg
+from repro.isa import Instruction, r
 from repro.obs.recorder import MetricsRecorder
 from repro.obs.report import STALL_CYCLES, TABLE_FALLBACKS, TABLE_HITS
 from repro.pipeline.simulator import BlockSimulator, issue_cycles
-from repro.pipeline.tables import PipelineTables, attach_tables, detach_tables
+from repro.pipeline.tables import PipelineTables, attach_tables
 from repro.pipeline.timing import timed_run
 from repro.qpt.profiling import SlowProfiler
+from repro.spawn import ModelError, load_superscalar
 from repro.spawn.library import (
     MACHINES,
     description_text,
+    load_machine,
     load_machine_from_source,
 )
 from repro.tools.qpt_cli import main
 from repro.workloads import WorkloadSpec, generate, sum_loop
 from repro.workloads.spec95 import CFP95, CINT95, generate_benchmark
+from tests.walker_tables import WalkerTables, use_walker
 
 VERIFY_SEEDS = (101, 202, 303)
 
@@ -62,8 +68,8 @@ _WORKLOADS = (
 
 
 def _fresh_model(machine):
-    # A private model instance: attach/detach here must not leak into
-    # the process-wide ``load_machine`` cache other tests share.
+    # A private model instance: tables set here must not leak into the
+    # process-wide ``load_machine`` cache other tests share.
     return load_machine_from_source(description_text(machine), machine)
 
 
@@ -99,21 +105,17 @@ def _comparable(snapshot):
 def test_schedules_and_hazard_buckets_identical(machine, regions):
     """Order, cycle counts, stall totals, and per-bucket hazard
     attribution must not depend on whether tables answered."""
-    model = _fresh_model(machine)
+    walker, model = _walker_and_table_models(machine)
 
     recorder = MetricsRecorder()
-    interp = ListScheduler(model, recorder=recorder)
+    interp = ListScheduler(walker, recorder=recorder)
     baseline = [interp.schedule_region(region) for region in regions]
     baseline_stats = recorder.metrics.snapshot()
 
-    attach_tables(model, use_disk_cache=False)
-    try:
-        recorder = MetricsRecorder()
-        fast = ListScheduler(model, recorder=recorder)
-        accelerated = [fast.schedule_region(region) for region in regions]
-        table_stats = recorder.metrics.snapshot()
-    finally:
-        detach_tables(model)
+    recorder = MetricsRecorder()
+    fast = ListScheduler(model, recorder=recorder)
+    accelerated = [fast.schedule_region(region) for region in regions]
+    table_stats = recorder.metrics.snapshot()
 
     for before, after in zip(baseline, accelerated):
         assert after.order == before.order
@@ -125,25 +127,25 @@ def test_schedules_and_hazard_buckets_identical(machine, regions):
     # counters that say the tables were used.
     assert _comparable(table_stats) == _comparable(baseline_stats)
     hits = sum(c["value"] for c in table_stats["counters"].get(TABLE_HITS, ()))
-    assert hits > 0, "tables attached but never answered a query"
+    assert hits > 0, "the tables never answered a query"
+    assert not baseline_stats["counters"].get(TABLE_HITS), "the walker used tables"
 
 
 @pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("seed", VERIFY_SEEDS)
 def test_table_schedules_verify(machine, seed, regions):
-    """Table-mode schedules pass differential verification under every
-    verify seed (semantic equivalence, not just same permutation)."""
-    model = _fresh_model(machine)
-    attach_tables(model, use_disk_cache=False)
+    """Table-answered schedules pass differential verification under
+    every verify seed (semantic equivalence, not just same permutation)."""
+    _, model = _walker_and_table_models(machine)
     scheduler = ListScheduler(model)
     for region in regions[:8]:
         result = scheduler.schedule_region(region)
         assert verify_schedule(region, result.instructions, seed=seed)
 
 
-def test_cli_output_bytes_identical(tmp_path):
+def test_cli_output_bytes_identical(tmp_path, monkeypatch):
     """``qpt instrument --schedule`` writes the same executable and
-    sidecar with and without tables."""
+    sidecar with the machine's tables and with the walker."""
     kernel = sum_loop(9)
     source = tmp_path / "prog.rxe"
     source.write_bytes(kernel.executable.to_bytes())
@@ -151,19 +153,16 @@ def test_cli_output_bytes_identical(tmp_path):
     with_tables = tmp_path / "with.rxe"
     without = tmp_path / "without.rxe"
     assert (
-        main(
-            ["instrument", str(source), "-o", str(with_tables), "--schedule",
-             "--tables"]
-        )
+        main(["instrument", str(source), "-o", str(with_tables), "--schedule"])
         == 0
     )
+    walker = WalkerTables()
+    monkeypatch.setattr(load_machine("ultrasparc"), "tables", walker)
     assert (
-        main(
-            ["instrument", str(source), "-o", str(without), "--schedule",
-             "--no-tables"]
-        )
+        main(["instrument", str(source), "-o", str(without), "--schedule"])
         == 0
     )
+    assert walker.misses > 0, "the walker run never reached the tables"
     assert with_tables.read_bytes() == without.read_bytes()
     assert json.loads((tmp_path / "with.rxe.json").read_text()) == json.loads(
         (tmp_path / "without.rxe.json").read_text()
@@ -198,8 +197,7 @@ def spec95_regions(spec95):
 
 
 def _walker_and_table_models(machine, **attach):
-    walker = _fresh_model(machine)
-    assert walker.tables is None
+    walker = use_walker(_fresh_model(machine))
     tabled = _fresh_model(machine)
     attach_tables(tabled, use_disk_cache=False, **attach)
     return walker, tabled
@@ -271,7 +269,7 @@ def test_recorded_timed_run_hazard_buckets_identical(machine, spec95):
     assert _comparable(table_stats) == _comparable(walker_stats)
     assert walker_stats["counters"][STALL_CYCLES], "no stall was attributed"
     hits = sum(c["value"] for c in table_stats["counters"].get(TABLE_HITS, ()))
-    assert hits > 0, "tables attached but never answered a query"
+    assert hits > 0, "the tables never answered a query"
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -299,3 +297,77 @@ def test_payload_decodes_the_compact_store_and_round_trips(machine, spec95):
     reloaded = PipelineTables(tabled, budget=tables.budget)
     assert reloaded.load_payload(json.loads(json.dumps(payload)))
     assert reloaded.payload() == payload
+
+
+# -- models the state encoding cannot hold -----------------------------------------
+
+#: Wider than the one-byte-per-unit state encoding: its ``Group`` and
+#: ``ALUr`` units have 300 copies.
+UNENCODABLE_WIDTH = 300
+
+
+@pytest.fixture(scope="module")
+def unencodable():
+    """(model, walker twin, regions of a generated workload) for a
+    machine the tables cannot encode."""
+    spec = WorkloadSpec(name="wide", seed=7, kind="int", avg_block_size=8.0, loops=4)
+    regions = [
+        list(region.instructions)
+        for block in generate(spec).cfg.blocks
+        for region in split_regions(list(block.body))
+        if len(region.instructions) >= 2
+    ]
+    return (
+        load_superscalar(UNENCODABLE_WIDTH),
+        use_walker(load_superscalar(UNENCODABLE_WIDTH)),
+        regions,
+    )
+
+
+def test_unencodable_block_cycles_run_on_the_walker(unencodable):
+    model, walker, regions = unencodable
+    reference = BlockSimulator(walker)
+    block_cycles = BlockSimulator(model).block_cycles
+    for region in regions:
+        assert block_cycles(region) == reference.time_block(region).issue_cycles
+    assert not model.tables.encodable
+    assert model.tables.misses > 0
+
+
+def test_unencodable_schedules_run_on_the_walker(unencodable):
+    model, walker, regions = unencodable
+    misses = model.tables.misses
+    fast = ListScheduler(model)
+    reference = ListScheduler(walker)
+    for region in regions:
+        got, want = fast.schedule_region(region), reference.schedule_region(region)
+        assert got.order == want.order
+        assert got.original_cycles == want.original_cycles
+        assert got.scheduled_cycles == want.scheduled_cycles
+    assert model.tables.misses > misses
+
+
+def test_unencodable_timed_run_runs_on_the_walker(unencodable):
+    model, walker, _ = unencodable
+    misses = model.tables.misses
+    executable = sum_loop(12).executable
+    assert _timed(model, executable) == _timed(walker, executable)
+    assert model.tables.misses > misses
+
+
+def test_tables_skip_a_variant_the_description_cannot_time():
+    """Compiling a model's tables forms every timing group the ISA can
+    produce. A variant that acquires more units than the machine has
+    can never issue; it must not stop the rest of the model from
+    timing, as it did not before the tables compiled on first use."""
+    model = load_machine_from_source(
+        "unit Group 2\nsem [ add ] is AR Group, D 1\nsem [ sub ] is AR Group 3, D 1",
+        "lopsided",
+    )
+    add = Instruction("add", rd=r(1), rs1=r(2), rs2=r(3))
+    simulator = BlockSimulator(model)
+    assert simulator.time_block([add] * 3).issue_times == [0, 0, 1]
+    assert simulator.block_cycles([add] * 3) == 2
+    assert model.tables.misses == 0
+    with pytest.raises(ModelError):
+        model.timing(Instruction("sub", rd=r(1), rs1=r(2), rs2=r(3)))

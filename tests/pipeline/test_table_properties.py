@@ -1,8 +1,9 @@
 """Property tests for the compiled stall-transition tables.
 
-Seeded random instruction sequences stream through a table-backed
-pipeline and the interpreted walker on synthetic superscalar machines
-of several widths. The properties:
+Seeded random instruction sequences stream through a model's own
+tables and through the interpreted walker (a twin model whose tables
+never answer, :mod:`tests.walker_tables`) on synthetic superscalar
+machines of several widths. The properties:
 
 * **prefix agreement** — at every prefix of the stream, stalls and
   issue cycles agree, and whenever the table-backed state is still
@@ -22,13 +23,9 @@ import pytest
 
 from repro.isa import Instruction, f, r
 from repro.pipeline import PipelineState, issue, pipeline_stalls
-from repro.pipeline.tables import (
-    LeanPipeline,
-    TableMiss,
-    attach_tables,
-    detach_tables,
-)
+from repro.pipeline.tables import LeanPipeline, TableMiss, attach_tables
 from repro.spawn import load_superscalar
+from tests.walker_tables import use_walker
 
 WIDTHS = (1, 2, 4)
 SEQUENCE_SEEDS = tuple(range(20))
@@ -51,10 +48,10 @@ _SAMPLES = (
 
 @pytest.fixture(scope="module", params=WIDTHS)
 def machine(request):
+    """(model, its tables, the walker twin) for one width."""
     model = load_superscalar(request.param)
     tables = attach_tables(model, use_disk_cache=False)
-    yield model, tables
-    detach_tables(model)
+    return model, tables, use_walker(load_superscalar(request.param))
 
 
 def _sequence(seed, length=16):
@@ -62,18 +59,8 @@ def _sequence(seed, length=16):
     return [_SAMPLES[rng.randrange(len(_SAMPLES))] for _ in range(length)]
 
 
-def _issue_cycles_interpreted(model, sequence):
-    """The sequential issue cycles with tables off (ground truth)."""
-    state = PipelineState(model, use_tables=False)
-    cycle, out = 0, []
-    for inst in sequence:
-        cycle = issue(cycle, state, inst).issue_cycle
-        out.append(cycle)
-    return out
-
-
-def _issue_cycles_tables(model, sequence):
-    """The same stream with the attached tables answering."""
+def _issue_cycles(model, sequence):
+    """The sequential issue cycles of ``sequence`` on ``model``."""
     state = PipelineState(model)
     cycle, out = 0, []
     for inst in sequence:
@@ -82,10 +69,9 @@ def _issue_cycles_tables(model, sequence):
     return out
 
 
-def _diverges(model, sequence):
-    return _issue_cycles_interpreted(model, sequence) != _issue_cycles_tables(
-        model, sequence
-    )
+def _diverges(walker, model, sequence):
+    """Do the walker (ground truth) and the model's tables disagree?"""
+    return _issue_cycles(walker, sequence) != _issue_cycles(model, sequence)
 
 
 def _shrink(sequence, diverges):
@@ -108,10 +94,10 @@ def _shrink(sequence, diverges):
 def test_prefix_agreement(machine, seed):
     """Stalls and issue cycles agree at every prefix; when tracking is
     live, the table state id names the interpreted occupancy window."""
-    model, tables = machine
+    model, tables, walker = machine
     sequence = _sequence(seed)
 
-    plain = PipelineState(model, use_tables=False)
+    plain = PipelineState(walker)
     tabled = PipelineState(model)
     cycle_p = cycle_t = 0
     trace = []
@@ -119,7 +105,7 @@ def test_prefix_agreement(machine, seed):
         stalls_p = pipeline_stalls(cycle_p, plain, inst)
         stalls_t = pipeline_stalls(cycle_t, tabled, inst)
         if stalls_p != stalls_t:
-            minimal = _shrink(sequence, lambda s: _diverges(model, s))
+            minimal = _shrink(sequence, lambda s: _diverges(walker, model, s))
             pytest.fail(
                 f"stall divergence (seed {seed}); minimal repro: "
                 f"{[str(i) for i in minimal]}"
@@ -137,9 +123,9 @@ def test_prefix_agreement(machine, seed):
 def test_lean_stream_agreement(machine, seed):
     """The lean stream — state id plus register history, no occupancy
     rows at all — issues every instruction at the interpreted cycle."""
-    model, tables = machine
+    model, tables, walker = machine
     sequence = _sequence(seed)
-    expected = _issue_cycles_interpreted(model, sequence)
+    expected = _issue_cycles(walker, sequence)
 
     lean = LeanPipeline(tables)
     cycle = 0
@@ -157,7 +143,6 @@ def test_divergence_shrinks_to_minimal_repro(machine):
     """The shrinker itself: given a synthetic divergence predicate, the
     reduction returns a minimal sequence — every further removal makes
     the predicate false."""
-    model, _tables = machine
     sequence = _sequence(99, length=12)
 
     def pseudo_diverges(seq):
@@ -175,11 +160,11 @@ def test_divergence_shrinks_to_minimal_repro(machine):
 def test_real_streams_never_diverge(machine):
     """The headline property over a wider seed sweep: table-backed and
     interpreted streams agree, or the test hands back a shrunk repro."""
-    model, _tables = machine
+    model, _tables, walker = machine
     for seed in range(40):
         sequence = _sequence(seed, length=24)
-        if _diverges(model, sequence):
-            minimal = _shrink(sequence, lambda s: _diverges(model, s))
+        if _diverges(walker, model, sequence):
+            minimal = _shrink(sequence, lambda s: _diverges(walker, model, s))
             pytest.fail(
                 f"divergence at seed {seed}; minimal repro: "
                 f"{[str(i) for i in minimal]}"
