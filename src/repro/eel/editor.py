@@ -21,7 +21,7 @@ from ..isa.instruction import Instruction, nop
 from ..isa.opcodes import Category
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .cfg import CFG, BasicBlock, Edge, build_cfg
-from .executable import Executable
+from .executable import BlockMap, Executable
 from .image import Section, SectionKind, Symbol
 from ..errors import ReproError
 
@@ -247,13 +247,21 @@ class Editor:
             s for s in self.executable.sections if s.kind is not SectionKind.TEXT
         ] + self._extra_sections
 
-        return Executable.from_instructions(
+        built = Executable.from_instructions(
             instructions,
             entry=self._remap_address(self.executable.entry, new_address),
             text_base=text_base,
             symbols=symbols,
             data_sections=data_sections,
         )
+        built.block_map = BlockMap(
+            source=self.executable,
+            addresses={
+                block.address: new_address[block.index] for block in self.cfg
+            },
+            one_to_one=len(laid_out) == len(self.cfg),
+        )
+        return built
 
     # -- internals -------------------------------------------------------------------
 

@@ -31,6 +31,20 @@ TEXT_BASE = 0x0001_0000
 DATA_BASE = 0x0800_0000
 
 
+@dataclass(frozen=True)
+class BlockMap:
+    """Where an edit laid out the blocks of the executable it edited."""
+
+    #: the executable the edit read.
+    source: "Executable"
+    #: each block's address in ``source`` -> its address in the edit.
+    addresses: dict[int, int]
+    #: True when the edit added no block of its own (a trampoline or an
+    #: inline edge block): its blocks are the source's, one for one and
+    #: in the same order, so fall-through runs of blocks stay runs.
+    one_to_one: bool
+
+
 @dataclass
 class Executable:
     """A program image: sections, symbols, and an entry point."""
@@ -38,6 +52,8 @@ class Executable:
     sections: list[Section] = field(default_factory=list)
     symbols: list[Symbol] = field(default_factory=list)
     entry: int = TEXT_BASE
+    #: set on an executable the editor built (never serialized).
+    block_map: BlockMap | None = field(default=None, compare=False, repr=False)
 
     # -- construction ----------------------------------------------------------
 
@@ -97,6 +113,29 @@ class Executable:
 
     def code_map(self) -> dict[int, Instruction]:
         return dict(self.decode_text())
+
+    def blocks_from(self, ancestor: "Executable") -> dict[int, int] | None:
+        """Each block address of ``ancestor`` mapped to the address of
+        its block here, when this executable was built from
+        ``ancestor`` by a chain of one-for-one edits (see
+        :class:`BlockMap`); otherwise None."""
+        maps = []
+        executable = self
+        while executable is not ancestor:
+            block_map = executable.block_map
+            if block_map is None or not block_map.one_to_one:
+                return None
+            maps.append(block_map.addresses)
+            executable = block_map.source
+        if not maps:
+            return None
+        addresses = maps.pop()
+        while maps:
+            step = maps.pop()
+            addresses = {
+                old: step[new] for old, new in addresses.items() if new in step
+            }
+        return addresses
 
     # -- running -----------------------------------------------------------------
 

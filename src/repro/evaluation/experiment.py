@@ -13,9 +13,17 @@ Three executables are timed per benchmark (§4.2):
 ``% hidden = (instrumented − scheduled) / (instrumented −
 uninstrumented)`` — the fraction of instrumentation overhead that
 scheduling recovered. Time is measured in simulated pipeline issue
-cycles: the whole-program cost is the frequency-weighted sum of each
-block's issue cycles on the machine model (block frequencies are known
-analytically from the workload generator).
+cycles. By default (``trace_timing``) a build's cost is its trace
+timing (:func:`~repro.pipeline.timing.timed_run`): only the compiled
+input runs functionally, and every other build is timed by replaying
+its own blocks along the path that run recorded, since scheduling and
+instrumentation leave control flow unchanged. A build the replay
+cannot place (superblock builds, whose compensation adds trampoline
+blocks, or any build whose block map does not chain one for one) runs
+for real, and each such run is counted. With ``trace_timing=False`` the
+cost is the frequency-weighted sum of each block's issue cycles on the
+machine model (block frequencies are known analytically from the
+workload generator).
 """
 
 from __future__ import annotations
@@ -31,6 +39,14 @@ from ..eel.cfg import build_cfg
 from ..eel.editor import Editor
 from ..eel.executable import Executable
 from ..obs.recorder import NULL_RECORDER, Recorder
+from ..obs.report import (
+    TIMING_MEMO_EVICTIONS,
+    TIMING_MEMO_HITS,
+    TIMING_MEMO_MISSES,
+    TIMING_REAL,
+    TIMING_RECORDED,
+    TIMING_REPLAYED,
+)
 from ..parallel.cache import ScheduleCache
 from ..parallel.executor import ParallelOptions, make_transform
 from ..pipeline.simulator import BlockSimulator
@@ -206,12 +222,31 @@ def run_profiling_experiment(
     if config.model_icache:
         icache = ICacheModel(DEFAULT_MISS_RATES["fp" if is_fp(benchmark) else "int"])
 
-    def cycles(executable: Executable, expansion: float = 1.0) -> int:
+    memo = model.tables.memo
+    memo_before = (memo.hits, memo.misses, memo.evictions)
+    #: the path the compiled input's functional run executed; every
+    #: later build is replayed along it.
+    recorded = None
+
+    def cycles(
+        executable: Executable, expansion: float = 1.0, *, superblock: bool = False
+    ) -> int:
+        nonlocal recorded
         with rec.span("eval.time", benchmark=benchmark):
             if config.trace_timing:
                 run = timed_run(
-                    model, executable, max_instructions=config.max_instructions
+                    model,
+                    executable,
+                    max_instructions=config.max_instructions,
+                    along=None if superblock else recorded,
                 )
+                if recorded is None:
+                    recorded = run.path
+                    rec.count(TIMING_RECORDED)
+                elif run.replayed:
+                    rec.count(TIMING_REPLAYED)
+                else:
+                    rec.count(TIMING_REAL["superblock" if superblock else run.fallback])
                 total = run.cycles
                 if icache is not None:
                     total += icache.penalty_cycles(run.instructions, expansion)
@@ -278,7 +313,18 @@ def run_profiling_experiment(
         scheduled_program = SlowProfiler(baseline, recorder=rec).instrument(
             block_scheduler(rec, superblock=True)
         )
-    scheduled = cycles(scheduled_program.executable, scheduled_program.text_expansion)
+    scheduled = cycles(
+        scheduled_program.executable,
+        scheduled_program.text_expansion,
+        superblock=bool(config.superblock),
+    )
+    for name, before, after in zip(
+        (TIMING_MEMO_HITS, TIMING_MEMO_MISSES, TIMING_MEMO_EVICTIONS),
+        memo_before,
+        (memo.hits, memo.misses, memo.evictions),
+    ):
+        if after > before:
+            rec.count(name, after - before)
 
     result = BenchmarkResult(
         benchmark=benchmark,

@@ -92,10 +92,13 @@ def width_sweep(
             )
         )
         base = timed_run(model, compiled)
-        plain = timed_run(model, SlowProfiler(compiled).instrument().executable)
+        plain = timed_run(
+            model, SlowProfiler(compiled).instrument().executable, along=base.path
+        )
         sched = timed_run(
             model,
             SlowProfiler(compiled).instrument(BlockScheduler(model)).executable,
+            along=base.path,
         )
         added = plain.instructions - base.instructions
         points.append(

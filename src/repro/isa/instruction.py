@@ -75,6 +75,15 @@ class Instruction:
                     f"{'fp' if want == 'f' else 'integer'} register, got {reg}"
                 )
 
+    def __getstate__(self) -> dict:
+        """Pickle without ``_timing_memo``: it holds the machine model
+        (:meth:`~repro.spawn.model.MachineModel.timing`), whose compiled
+        evaluator does not pickle. Unpickling restores the fields as
+        they were, without re-running operand validation."""
+        state = dict(self.__dict__)
+        state.pop("_timing_memo", None)
+        return state
+
     # -- static properties -------------------------------------------------
 
     @property

@@ -28,6 +28,13 @@ from .semantics import SemanticsError, _src2, execute
 #: started with ``%o7 = STOP_ADDRESS - 8`` so a final ``retl`` exits.
 STOP_ADDRESS = 0xFFFF0000
 
+#: Kinds of recorded path segment (:meth:`Simulator.run`'s ``path``),
+#: held in a segment's low two bits: straight-line code up to and
+#: including a control transfer whose delay slot was annulled, the same
+#: with its delay slot executed, or one lone instruction (the delay
+#: slot of a control transfer that itself sat in a delay slot).
+NO_DELAY, WITH_DELAY, LONE = 0, 1, 2
+
 
 class SimulationLimit(Exception):
     """Raised when the instruction budget is exhausted (runaway loop)."""
@@ -72,13 +79,23 @@ class Simulator:
         max_instructions: int = 2_000_000,
         count_executions: bool = False,
         on_execute=None,
+        path: list[int] | None = None,
     ) -> RunResult:
         """Run from ``entry`` until control reaches :data:`STOP_ADDRESS`.
 
         ``on_execute(address, instruction)`` is invoked for every
         dynamically executed instruction (annulled delay slots are
-        skipped, so they are not reported) — the timing simulator hooks
-        here to drive the pipeline model in true dynamic order.
+        skipped, so they are not reported).
+
+        ``path``, when given, receives the path the run executed as
+        straight-line segments, one ``start << 2 | kind`` per executed
+        control transfer: ``start`` is the address the segment began
+        at, and ``kind`` (:data:`NO_DELAY` or :data:`WITH_DELAY`) says
+        whether the transfer's delay slot executed; a transfer that sat
+        in a delay slot adds a :data:`LONE` segment for its own delay
+        instruction. The segments, laid end to end by
+        :func:`segment_instructions`, are exactly the executed
+        instruction stream — what trace timing replays.
         """
         if state is None:
             state = MachineState()
@@ -86,6 +103,9 @@ class Simulator:
         state.set_reg(15, (STOP_ADDRESS - 8) & MASK32)  # %o7
         counts: Counter = Counter()
         executed = 0
+        record = path.append if path is not None else None
+        segment = entry  # where the current straight-line segment began
+        delay_slot = -1  # the executed delay slot that runs next, if any
 
         while state.pc != STOP_ADDRESS:
             if executed >= max_instructions:
@@ -101,7 +121,20 @@ class Simulator:
                 on_execute(state.pc, inst)
 
             if inst.is_control:
-                self._execute_control(state, inst)
+                pc = state.pc
+                delay = self._execute_control(state, inst)
+                if record is not None:
+                    if pc != delay_slot:
+                        record(segment << 2 | delay)
+                    elif delay:
+                        # A transfer in a delay slot is its predecessor's
+                        # delay instruction; its own delay slot is the
+                        # predecessor's target, which runs alone.
+                        record(state.pc << 2 | LONE)
+                    if delay:
+                        delay_slot, segment = state.pc, state.npc
+                    else:
+                        delay_slot, segment = -1, state.pc
             else:
                 execute(state, inst)
                 state.pc, state.npc = state.npc, (state.npc + 4) & MASK32
@@ -111,9 +144,10 @@ class Simulator:
 
     # -- control transfer -------------------------------------------------------
 
-    def _execute_control(self, state: MachineState, inst: Instruction) -> None:
+    def _execute_control(self, state: MachineState, inst: Instruction) -> bool:
         """Execute a control-transfer instruction, applying annulment by
-        stepping ``pc`` past the delay slot when required."""
+        stepping ``pc`` past the delay slot when required. True when the
+        delay slot executes."""
         info = inst.info
         pc = state.pc
 
@@ -137,11 +171,39 @@ class Simulator:
             state.pc, state.npc = next_npc, (next_npc + 4) & MASK32
         else:
             state.pc, state.npc = state.npc, next_npc
+        return not annulled
 
     @staticmethod
     def _jmpl_target(state: MachineState, inst: Instruction) -> int:
         base = state.get_reg(inst.rs1.index) if inst.rs1 is not None else 0
         return (base + _src2(state, inst)) & MASK32
+
+
+def segment_instructions(
+    code: dict[int, Instruction], segment: int
+) -> list[Instruction] | None:
+    """The instructions one recorded path segment executes in ``code``
+    (see :meth:`Simulator.run`): from its start up to the first control
+    transfer, plus the delay slot when it executed. None when ``code``
+    has no instruction where the segment needs one."""
+    address, kind = segment >> 2, segment & 3
+    inst = code.get(address)
+    if kind == LONE:
+        return None if inst is None else [inst]
+    out = []
+    while inst is not None and not inst.is_control:
+        out.append(inst)
+        address += 4
+        inst = code.get(address)
+    if inst is None:
+        return None
+    out.append(inst)
+    if kind == WITH_DELAY:
+        delay = code.get(address + 4)
+        if delay is None:
+            return None
+        out.append(delay)
+    return out
 
 
 def _branch_taken(state: MachineState, inst: Instruction) -> bool:

@@ -32,6 +32,25 @@ ISSUES = "pipeline.issues"
 TABLE_HITS = "pipeline.table_hits"
 TABLE_FALLBACKS = "pipeline.table_fallbacks"
 
+#: Trace timing in the paper's experiment (``repro.evaluation``): the
+#: one functional run per experiment whose path is recorded, builds
+#: timed by replaying their blocks along it, and builds that ran for
+#: real instead, by reason — a superblock build, a build whose block
+#: map does not chain one for one to the recorded program, or a replay
+#: the compiled tables could not carry.
+TIMING_RECORDED = "timing.recorded"
+TIMING_REPLAYED = "timing.replayed"
+TIMING_REAL = {
+    reason: f"timing.real.{reason}"
+    for reason in ("superblock", "unchained", "table_miss")
+}
+#: Trace timing's segment memo (``repro.pipeline.tables.SegmentMemo``):
+#: segments advanced from a memoized entry, segments issued through the
+#: lean stream and stored, and entries evicted to keep it bounded.
+TIMING_MEMO_HITS = "timing.memo_hits"
+TIMING_MEMO_MISSES = "timing.memo_misses"
+TIMING_MEMO_EVICTIONS = "timing.memo_evictions"
+
 #: One per forward-pass scheduling decision.
 SCHED_DECISIONS = "scheduler.decisions"
 #: Histogram of the candidate (ready) set size at each decision.
@@ -239,6 +258,31 @@ def guard_table(metrics: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
+def timing_table(metrics: MetricsRegistry) -> str:
+    """Trace-timing telemetry, when an experiment timed builds."""
+    recorded = int(metrics.counter_total(TIMING_RECORDED))
+    replayed = int(metrics.counter_total(TIMING_REPLAYED))
+    real = {
+        reason: int(metrics.counter_total(name)) for reason, name in TIMING_REAL.items()
+    }
+    if not (recorded or replayed or any(real.values())):
+        return ""
+    reasons = ", ".join(f"{reason} {count}" for reason, count in real.items())
+    hits = int(metrics.counter_total(TIMING_MEMO_HITS))
+    misses = int(metrics.counter_total(TIMING_MEMO_MISSES))
+    evictions = int(metrics.counter_total(TIMING_MEMO_EVICTIONS))
+    segments = hits + misses
+    rate = hits / segments if segments else 0.0
+    return "\n".join(
+        [
+            f"trace timing: {recorded} recorded runs, {replayed} replayed builds, "
+            f"{sum(real.values())} real runs ({reasons})",
+            f"  segment memo: {hits} hits / {misses} misses ({rate:.1%} hit rate), "
+            f"{evictions} evictions",
+        ]
+    )
+
+
 def cache_table(metrics: MetricsRegistry) -> str:
     """Schedule-cache and parallel-executor telemetry, when either ran."""
     hits = int(metrics.counter_total(CACHE_HITS))
@@ -331,6 +375,12 @@ SUMMARY_COUNTERS = {
     "issues": ISSUES,
     "table_hits": TABLE_HITS,
     "table_fallbacks": TABLE_FALLBACKS,
+    "timing_recorded": TIMING_RECORDED,
+    "timing_replayed": TIMING_REPLAYED,
+    **{f"timing_real_{reason}": name for reason, name in TIMING_REAL.items()},
+    "timing_memo_hits": TIMING_MEMO_HITS,
+    "timing_memo_misses": TIMING_MEMO_MISSES,
+    "timing_memo_evictions": TIMING_MEMO_EVICTIONS,
     "sched_decisions": SCHED_DECISIONS,
     "sched_blocks": SCHED_BLOCKS,
     "sched_delay_slots": SCHED_DELAY_SLOTS,
@@ -416,6 +466,9 @@ def render_stats(metrics: MetricsRegistry) -> str:
     guard = guard_table(metrics)
     if guard:
         sections.append(guard)
+    timing = timing_table(metrics)
+    if timing:
+        sections.append(timing)
     cache = cache_table(metrics)
     if cache:
         sections.append(cache)

@@ -65,6 +65,7 @@ import json
 import os
 import tempfile
 import zlib
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from ..isa.registers import Reg, RegKind, reg_code
@@ -113,8 +114,12 @@ class PipelineTables:
     ``fit`` is the offset of the earliest structural fit from the
     queried cycle and ``next_sid`` the state after committing there
     (None, stored as 0, when the successor was past the budget — the
-    stall answer is still valid, only tracking is lost). :meth:`rows`
-    and :meth:`state_transitions` decode both.
+    stall answer is still valid, only tracking is lost). :meth:`lookup`
+    decodes one transition, :meth:`payload` all of them.
+
+    :attr:`memo` is trace timing's :class:`SegmentMemo`. Its keys hold
+    these tables' state ids, so it lives and is replaced with them, and
+    it is never persisted.
     """
 
     def __init__(self, model: MachineModel, *, budget: int = DEFAULT_BUDGET) -> None:
@@ -155,6 +160,7 @@ class PipelineTables:
         #: where :func:`attach_tables` read/wrote the disk entry, so
         #: lazily learned states can be persisted back to the same file.
         self.cache_path: str | None = None
+        self.memo = SegmentMemo()
 
     @staticmethod
     def _window(model: MachineModel) -> int:
@@ -169,10 +175,6 @@ class PipelineTables:
         return len(self.keys)
 
     # -- encoding ------------------------------------------------------------
-
-    def rows(self, sid: int) -> tuple[tuple[int, ...], ...]:
-        """State ``sid``'s free-unit rows, one tuple per cycle."""
-        return tuple(map(tuple, self._split(self.keys[sid])))
 
     def _split(self, key: bytes) -> list[bytes]:
         """``key``'s rows, one ``bytes`` slice per cycle."""
@@ -191,13 +193,6 @@ class PipelineTables:
             yield key & mask, key >> bits, packed & fit_mask, (
                 successor - 1 if successor else None
             )
-
-    def state_transitions(self) -> list[dict[int, tuple[int, int | None]]]:
-        """Per state, ``{group: (fit, next_sid)}`` in learning order."""
-        out: list[dict[int, tuple[int, int | None]]] = [{} for _ in self.keys]
-        for sid, group, fit, next_sid in self._unpacked():
-            out[sid][group] = (fit, next_sid)
-        return out
 
     # -- interning -----------------------------------------------------------
 
@@ -431,7 +426,76 @@ class PipelineTables:
         self.advance = advance
         self.advance[0] = 0
         self.transitions = packed
+        self.memo = SegmentMemo()  # its keys named the old state ids
         return True
+
+
+#: Entries trace timing's segment memo holds; storing past this evicts
+#: the oldest quarter. A full Tables 1-3 regeneration stores about 2.3k.
+SEGMENT_MEMO_LIMIT = 1 << 15
+
+
+class SegmentMemo:
+    """Trace timing's memo: how a straight-line segment advances a lean
+    stream, by the stream's state at the segment's entry.
+
+    A segment's timing depends only on the table state id at its entry
+    and on the register history it reads, taken relative to the entry
+    cycle (the last issue cycle, which is the state's origin): the
+    FastSim observation (Schnarr and Larus, ASPLOS 1998). A history
+    entry at or below the segment's smallest offset for it can never
+    bind, since issue cycles only grow, so keys clamp there and
+    otherwise-distinct stale histories share an entry.
+
+    ``entries`` maps ``(segment id, state id, *clamped offsets)`` to
+    ``(cycles advanced, exit state id, overwrites, maxima)``, the last
+    two being the history write-back relative to the entry cycle;
+    :func:`repro.pipeline.timing.timed_run` builds and applies them.
+    ``segments`` interns segment contents (their lean records) to small
+    ids that are never reused, so clearing it never aliases a key.
+    """
+
+    def __init__(self, limit: int = SEGMENT_MEMO_LIMIT) -> None:
+        self.limit = limit
+        self.entries: dict[tuple, tuple] = {}
+        #: lean records of a segment -> (segment id, key layout).
+        self.segments: dict[tuple, tuple] = {}
+        self._next_id = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def segment(self, records: tuple) -> tuple[int, tuple]:
+        """``(id, key layout)`` of the segment whose instructions have
+        ``records`` (:func:`_lean_record`). The key layout lists, per
+        history slot whose entry value the segment can read, ``(slot,
+        floor)``: the smallest offset any of its bounds subtracts. A
+        register's ready cycle stops mattering once the segment writes
+        it; its read cycle never does, because reads only raise it."""
+        known = self.segments.get(records)
+        if known is not None:
+            return known
+        floors: dict[int, int] = {}
+        written: set[int] = set()
+        for _, bounds, _, writes in records:
+            for index, rel in bounds:
+                if index not in written and rel < floors.get(index, rel + 1):
+                    floors[index] = rel
+            written.update(index for index, _ in writes)
+        if len(self.segments) >= self.limit:
+            self.segments.clear()
+        known = self.segments[records] = (self._next_id, tuple(floors.items()))
+        self._next_id += 1
+        return known
+
+    def store(self, key: tuple, value: tuple) -> None:
+        entries = self.entries
+        if len(entries) >= self.limit:
+            stale = list(islice(entries, self.limit // 4))
+            for old in stale:
+                del entries[old]
+            self.evictions += len(stale)
+        entries[key] = value
 
 
 class TableMiss(Exception):

@@ -64,10 +64,6 @@ class GeneratedPipelineState:
         self.free = []
         self.write_cy = {{}}
         self.read_cy = {{}}
-        # Compiled-table tracking (used only by a tables-mode module):
-        # current state id and the absolute cycle it is relative to.
-        self.sid = 0
-        self.origin = 0
 
     def _row(self, cycle):
         while len(self.free) <= cycle:

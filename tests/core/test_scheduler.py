@@ -180,3 +180,43 @@ def test_descheduling_possible_on_optimized_code(hyper):
     assert result.graph.is_valid_order(result.order)
     # Regression or not, accounting must be consistent.
     assert result.cycles_saved == result.original_cycles - result.scheduled_cycles
+
+
+#: A caller that saves its return address in the block ending in the
+#: ``call``: the ``call`` writes ``%o7`` before its delay slot runs.
+CALL_SAVES_O7 = """
+        or %g0, %o7, %l7
+        call leaf
+        nop
+        or %g0, %l7, %o7
+        retl
+        nop
+    leaf:
+        retl
+        nop
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the delay-slot refill rule moves a reader of the "
+    "call's %o7 into its delay slot; fixing it changes served images "
+    "the committed benchmark references pin",
+)
+def test_delay_slot_filling_keeps_o7_readers_out_of_a_call_slot(ultra):
+    """Moving ``or %g0, %o7, %l7`` into the ``call``'s delay slot would
+    save the call's own address instead of the caller's return address,
+    and the program would never return."""
+    from repro.core import BlockScheduler
+    from repro.eel.editor import Editor
+    from repro.eel.executable import TEXT_BASE, Executable
+
+    program = Executable.from_instructions(
+        assemble(CALL_SAVES_O7, base_address=TEXT_BASE), text_base=TEXT_BASE
+    )
+    scheduler = BlockScheduler(ultra.model, SchedulingPolicy(fill_delay_slots=True))
+    edited = Editor(program).build(scheduler)
+    assert scheduler.stats.delay_slots_filled == 0
+    want = program.run(max_instructions=100).state
+    got = edited.run(max_instructions=100).state
+    assert [got.get_reg(i) for i in range(32)] == [want.get_reg(i) for i in range(32)]

@@ -211,3 +211,70 @@ def test_cycles_to_seconds_scaling():
     assert speedup("ultrasparc", "supersparc") == pytest.approx(3.34)
     with pytest.raises(KeyError):
         cycles_to_seconds(1, "pentium")
+
+
+def test_experiment_times_one_run_and_replays_the_rest(tmp_path):
+    """Only the compiled input runs functionally; the rescheduled,
+    instrumented and scheduled builds are replayed along its path, and
+    the counters say so in the metrics, the ``--stats`` panel and the
+    ledger record. The cycles equal timing every build by its own run."""
+    import json
+
+    from repro.core.optimizer import ImprovedScheduler
+    from repro.eel.editor import Editor
+    from repro.obs import MetricsRecorder, render_stats, stats_payload
+    from repro.parallel.executor import make_transform
+    from repro.pipeline.timing import timed_run
+    from repro.qpt import SlowProfiler
+    from repro.spawn import load_machine
+    from repro.workloads.spec95 import generate_benchmark
+
+    config = ExperimentConfig(trip_count=8, reschedule_baseline=True)
+    recorder = MetricsRecorder()
+    ledger = tmp_path / "ledger.jsonl"
+    observed = run_profiling_experiment(
+        "126.gcc", config, recorder=recorder, ledger=ledger
+    )
+    counters = recorder.metrics
+    assert counters.counter_total("timing.recorded") == 1
+    assert counters.counter_total("timing.replayed") == 3
+    assert counters.counter_total("timing.real.superblock") == 0
+    assert counters.counter_total("timing.real.unchained") == 0
+    assert counters.counter_total("timing.real.table_miss") == 0
+    # The model's memo outlives the experiment, so earlier timings in
+    # this process may have stored every segment already.
+    assert counters.counter_total("timing.memo_hits") > 0
+    assert "timing.replayed" in observed.metrics["counters"]
+    panel = render_stats(counters)
+    assert "trace timing: 1 recorded runs, 3 replayed builds, 0 real runs" in panel
+    assert "segment memo:" in panel
+    assert stats_payload(counters)["counters"]["timing_replayed"] == 3
+    record = json.loads(ledger.read_text().splitlines()[-1])
+    assert record["metrics"]["counters"]["timing_replayed"] == 3
+    assert record["metrics"]["counters"]["timing_memo_hits"] > 0
+
+    # The oracle: every build timed by its own functional run.
+    model = load_machine("ultrasparc")
+    program = generate_benchmark("126.gcc", trip_count=8)
+    compiled = Editor(program.executable).build(
+        ImprovedScheduler(model, restarts=config.optimizer_restarts, seed=program.spec.seed)
+    )
+    baseline = Editor(compiled).build(make_transform(model, config.policy))
+    plain = SlowProfiler(baseline).instrument().executable
+    scheduled = SlowProfiler(baseline).instrument(make_transform(model, config.policy))
+    assert observed.uninstrumented_cycles == timed_run(model, baseline).cycles
+    assert observed.instrumented_cycles == timed_run(model, plain).cycles
+    assert observed.scheduled_cycles == timed_run(model, scheduled.executable).cycles
+
+
+def test_superblock_experiment_times_its_scheduled_build_for_real():
+    from repro.obs import MetricsRecorder
+
+    recorder = MetricsRecorder()
+    run_profiling_experiment(
+        "130.li", ExperimentConfig(trip_count=8, superblock=True), recorder=recorder
+    )
+    counters = recorder.metrics
+    assert counters.counter_total("timing.recorded") == 1
+    assert counters.counter_total("timing.replayed") == 1
+    assert counters.counter_total("timing.real.superblock") == 1

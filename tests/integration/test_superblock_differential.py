@@ -81,3 +81,27 @@ def test_matrix_actually_exercises_superblocks():
             SlowProfiler(executable).instrument(transform)
             formed += transform.formed
     assert formed >= 1
+
+
+def test_superblock_build_at_two_jobs_is_byte_identical_to_one():
+    """The superblock pass times candidate blocks while planning, then
+    hands the unclaimed ones to the parallel scheduler's workers; the
+    timed instructions must still pickle."""
+    from repro.parallel import ParallelOptions, shutdown_pools
+
+    model = load_machine("ultrasparc")
+    program = generate_benchmark("130.li", trip_count=20)
+    images = []
+    try:
+        for jobs in (1, 2):
+            transform = make_transform(
+                model,
+                options=ParallelOptions(jobs=jobs),
+                superblock=True,
+                profile=Profile(program.frequencies),
+            )
+            built = SlowProfiler(program.executable).instrument(transform)
+            images.append(built.executable.to_bytes())
+    finally:
+        shutdown_pools()
+    assert images[0] == images[1]

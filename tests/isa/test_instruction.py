@@ -130,3 +130,21 @@ def test_formatting():
     # sethi prints the full constant (imm22 << 10) so %hi() round-trips.
     assert str(Instruction("sethi", rd=r(1), imm=0x123)) == "sethi %hi(0x48c00), %g1"
     assert str(Instruction("fcmpd", rs1=f(0), rs2=f(2))) == "fcmpd %f0, %f2"
+
+
+def test_instruction_pickles_after_model_timing():
+    """``MachineModel.timing`` memoizes on the instruction itself; the
+    memo holds the model, which does not pickle, so a timed instruction
+    must still ship to worker processes without it."""
+    import pickle
+
+    from repro.spawn import load_machine
+
+    model = load_machine("ultrasparc")
+    inst = Instruction("ld", rd=r(1), rs1=r(2), imm=8, tag="instr", seq=3)
+    timing = model.timing(inst)
+    assert "_timing_memo" in inst.__dict__
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == inst and copy.seq == 3 and copy.tag == "instr"
+    assert "_timing_memo" not in copy.__dict__
+    assert model.timing(copy) is timing

@@ -272,10 +272,27 @@ def test_recorded_timed_run_hazard_buckets_identical(machine, spec95):
     assert hits > 0, "the tables never answered a query"
 
 
+def _rows(tables, sid):
+    """State ``sid``'s free-unit rows, one tuple per cycle: the compact
+    key decoded independently of :meth:`PipelineTables.payload`."""
+    key = tables.keys[sid]
+    width = len(tables.capacity) or 1
+    return tuple(tuple(key[at : at + width]) for at in range(0, len(key), width))
+
+
+def _state_transitions(tables):
+    """Per state, ``{group: (fit, next_sid)}``, decoded from the packed
+    transition map independently of :meth:`PipelineTables.payload`."""
+    out = [{} for _ in tables.keys]
+    for sid, group, fit, next_sid in tables._unpacked():
+        out[sid][group] = (fit, next_sid)
+    return out
+
+
 @pytest.mark.parametrize("machine", MACHINES)
 def test_payload_decodes_the_compact_store_and_round_trips(machine, spec95):
     """The disk payload lists every state's rows and every transition
-    exactly as :meth:`rows`, :meth:`state_transitions` and
+    exactly as :func:`_rows`, :func:`_state_transitions` and
     :meth:`lookup` decode them, for eager and lazily learned states, and
     reloading it reproduces it."""
     _, tabled = _walker_and_table_models(machine)
@@ -285,10 +302,10 @@ def test_payload_decodes_the_compact_store_and_round_trips(machine, spec95):
         timed_run(tabled, executable)
     assert tables.states > eager, "timing learned no state beyond the prefix"
     payload = tables.payload()
-    by_state = tables.state_transitions()
+    by_state = _state_transitions(tables)
     assert len(payload["keys"]) == len(by_state) == tables.states
     for sid, (rows, table) in enumerate(zip(payload["keys"], by_state)):
-        assert rows == [list(row) for row in tables.rows(sid)]
+        assert rows == [list(row) for row in _rows(tables, sid)]
         assert payload["transitions"][sid] == sorted(
             (group, fit, next_sid) for group, (fit, next_sid) in table.items()
         )

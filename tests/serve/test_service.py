@@ -71,6 +71,26 @@ def test_instrument_job_matches_local_build(service):
     assert decode_result_executable(result) == local_build(SPEC)
 
 
+def test_superblock_job_at_two_jobs_succeeds(service):
+    """A served superblock build at jobs=2 ships blocks the superblock
+    pass already timed to the workers; it must succeed and match the
+    same job at jobs=1. The jobs=2 build runs first, on a workload no
+    other test schedules, so no block comes from the shared cache."""
+    spec = {**SPEC, "name": "serve-superblock", "seed": 73}
+    images = []
+    for jobs in (2, 1):
+        response = batch(
+            service,
+            encode_job(
+                "instrument", workload=spec, id=f"sb{jobs}", jobs=jobs, superblock=True
+            ),
+        )
+        (result,) = response["results"]
+        assert result["ok"], result
+        images.append(decode_result_executable(result))
+    assert images[0] == images[1]
+
+
 def test_executable_payload_equals_workload_payload(service):
     image = generate(WorkloadSpec(**SPEC)).executable.to_bytes()
     by_image = batch(service, encode_job("instrument", executable=image))

@@ -7,12 +7,17 @@ exact fallback path — the interpreted walker over the occupancy
 timeline — and lean streams count their misses here.
 """
 
+from repro.pipeline.tables import SegmentMemo
+
 
 class WalkerTables:
     """Tables with no states: every query misses."""
 
     def __init__(self) -> None:
         self.misses = 0
+        #: trace timing's memo; it stays empty, since no segment can
+        #: be issued on tables that never answer.
+        self.memo = SegmentMemo()
 
     def advance_to(self, sid, cycles):
         return None
