@@ -18,8 +18,8 @@ timing (:func:`~repro.pipeline.timing.timed_run`): only the compiled
 input runs functionally, and every other build is timed by replaying
 its own blocks along the path that run recorded, since scheduling and
 instrumentation leave control flow unchanged. A build the replay
-cannot place (superblock builds, whose compensation adds trampoline
-blocks, or any build whose block map does not chain one for one) runs
+cannot place (one whose block map does not chain one for one, such as
+a superblock build whose compensation added trampoline blocks) runs
 for real, and each such run is counted. With ``trace_timing=False`` the
 cost is the frequency-weighted sum of each block's issue cycles on the
 machine model (block frequencies are known analytically from the
@@ -228,9 +228,7 @@ def run_profiling_experiment(
     #: later build is replayed along it.
     recorded = None
 
-    def cycles(
-        executable: Executable, expansion: float = 1.0, *, superblock: bool = False
-    ) -> int:
+    def cycles(executable: Executable, expansion: float = 1.0) -> int:
         nonlocal recorded
         with rec.span("eval.time", benchmark=benchmark):
             if config.trace_timing:
@@ -238,7 +236,7 @@ def run_profiling_experiment(
                     model,
                     executable,
                     max_instructions=config.max_instructions,
-                    along=None if superblock else recorded,
+                    along=recorded,
                 )
                 if recorded is None:
                     recorded = run.path
@@ -246,7 +244,7 @@ def run_profiling_experiment(
                 elif run.replayed:
                     rec.count(TIMING_REPLAYED)
                 else:
-                    rec.count(TIMING_REAL["superblock" if superblock else run.fallback])
+                    rec.count(TIMING_REAL[run.fallback])
                 total = run.cycles
                 if icache is not None:
                     total += icache.penalty_cycles(run.instructions, expansion)
@@ -313,11 +311,7 @@ def run_profiling_experiment(
         scheduled_program = SlowProfiler(baseline, recorder=rec).instrument(
             block_scheduler(rec, superblock=True)
         )
-    scheduled = cycles(
-        scheduled_program.executable,
-        scheduled_program.text_expansion,
-        superblock=bool(config.superblock),
-    )
+    scheduled = cycles(scheduled_program.executable, scheduled_program.text_expansion)
     for name, before, after in zip(
         (TIMING_MEMO_HITS, TIMING_MEMO_MISSES, TIMING_MEMO_EVICTIONS),
         memo_before,

@@ -92,13 +92,10 @@ def width_sweep(
             )
         )
         base = timed_run(model, compiled)
-        plain = timed_run(
-            model, SlowProfiler(compiled).instrument().executable, along=base.path
-        )
+        plain = timed_run(model, SlowProfiler(compiled).instrument().executable)
         sched = timed_run(
             model,
             SlowProfiler(compiled).instrument(BlockScheduler(model)).executable,
-            along=base.path,
         )
         added = plain.instructions - base.instructions
         points.append(

@@ -146,12 +146,7 @@ def decode_bytes(data: bytes, *, base_seq: int = 0) -> list[Instruction]:
         raise DecodeError(f"text length {len(data)} is not a multiple of 4")
     out = []
     for i, (word,) in enumerate(struct.iter_unpack(">I", data)):
-        inst = decode(word)
-        # ``decode`` built this instruction just now and nothing else
-        # holds it, so it is numbered in place: ``with_seq`` would copy
-        # it and validate its operands again, half the decoder's time.
-        object.__setattr__(inst, "seq", base_seq + i)
-        out.append(inst)
+        out.append(decode(word).with_seq(base_seq + i))
     return out
 
 

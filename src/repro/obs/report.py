@@ -35,14 +35,13 @@ TABLE_FALLBACKS = "pipeline.table_fallbacks"
 #: Trace timing in the paper's experiment (``repro.evaluation``): the
 #: one functional run per experiment whose path is recorded, builds
 #: timed by replaying their blocks along it, and builds that ran for
-#: real instead, by reason — a superblock build, a build whose block
-#: map does not chain one for one to the recorded program, or a replay
-#: the compiled tables could not carry.
+#: real instead, by reason — a build whose block map does not chain one
+#: for one to the recorded program, or a replay the compiled tables
+#: could not carry.
 TIMING_RECORDED = "timing.recorded"
 TIMING_REPLAYED = "timing.replayed"
 TIMING_REAL = {
-    reason: f"timing.real.{reason}"
-    for reason in ("superblock", "unchained", "table_miss")
+    reason: f"timing.real.{reason}" for reason in ("unchained", "table_miss")
 }
 #: Trace timing's segment memo (``repro.pipeline.tables.SegmentMemo``):
 #: segments advanced from a memoized entry, segments issued through the

@@ -455,8 +455,7 @@ class SegmentMemo:
     ids that are never reused, so clearing it never aliases a key.
     """
 
-    def __init__(self, limit: int = SEGMENT_MEMO_LIMIT) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self.entries: dict[tuple, tuple] = {}
         #: lean records of a segment -> (segment id, key layout).
         self.segments: dict[tuple, tuple] = {}
@@ -482,7 +481,7 @@ class SegmentMemo:
                 if index not in written and rel < floors.get(index, rel + 1):
                     floors[index] = rel
             written.update(index for index, _ in writes)
-        if len(self.segments) >= self.limit:
+        if len(self.segments) >= SEGMENT_MEMO_LIMIT:
             self.segments.clear()
         known = self.segments[records] = (self._next_id, tuple(floors.items()))
         self._next_id += 1
@@ -490,8 +489,8 @@ class SegmentMemo:
 
     def store(self, key: tuple, value: tuple) -> None:
         entries = self.entries
-        if len(entries) >= self.limit:
-            stale = list(islice(entries, self.limit // 4))
+        if len(entries) >= SEGMENT_MEMO_LIMIT:
+            stale = list(islice(entries, SEGMENT_MEMO_LIMIT // 4))
             for old in stale:
                 del entries[old]
             self.evictions += len(stale)

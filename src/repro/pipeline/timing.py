@@ -40,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..isa.instruction import Instruction
 from ..isa.simulator import (
     LONE,
     WITH_DELAY,
@@ -64,12 +63,11 @@ TABLE_MISS = "table_miss"
 
 @dataclass
 class ExecutedPath:
-    """The path one functional run executed: ``segments`` in the
-    encoding of :meth:`~repro.isa.simulator.Simulator.run`, over the
-    run's decoded ``code``."""
+    """The path one functional run of ``executable`` executed:
+    ``segments`` in the encoding of
+    :meth:`~repro.isa.simulator.Simulator.run`."""
 
     executable: object
-    code: dict[int, Instruction] = field(repr=False)
     segments: list[int] = field(repr=False)
 
     @cached_property
@@ -148,7 +146,7 @@ def timed_run(
             count_executions=count_executions,
             path=segments,
         )
-        path = ExecutedPath(executable, code, segments)
+        path = ExecutedPath(executable, segments)
         layout = {
             segment: segment_instructions(code, segment) for segment in path.visits
         }
@@ -169,25 +167,19 @@ def _replay_layout(executable, along: ExecutedPath) -> dict | None:
     ``%o7``): the slot runs after that write, so an edit that moved an
     instruction there can change where the program goes, which no
     replay can vouch for."""
-    if executable is along.executable:
-        code, addresses = along.code, None
-    else:
-        addresses = executable.blocks_from(along.executable)
-        if addresses is None:
-            return None
-        code = executable.code_map()
+    addresses = executable.blocks_from(along.executable)
+    if addresses is None:
+        return None
+    code = executable.code_map()
     layout = {}
     for segment in along.visits:
-        placed = segment
-        if addresses is not None:
-            start = addresses.get(segment >> 2)
-            if start is None or segment & 3 == LONE:
-                return None
-            placed = start << 2 | segment & 3
-        instructions = segment_instructions(code, placed)
+        start = addresses.get(segment >> 2)
+        if start is None or segment & 3 == LONE:
+            return None
+        instructions = segment_instructions(code, start << 2 | segment & 3)
         if instructions is None:
             return None
-        if addresses is not None and segment & 3 == WITH_DELAY:
+        if segment & 3 == WITH_DELAY:
             transfer, delay = instructions[-2:]
             if transfer.write_mask() & (delay.read_mask() | delay.write_mask()):
                 return None

@@ -198,17 +198,19 @@ def test_annulled_branches_run_both_ways(model):
     both taken (delay slot executed) and untaken (annulled)."""
     for source in (ANNULLED, SELF_TARGET):
         path = timed_run(model, build(source)).path
+        code = path.executable.code_map()
         kinds = {
             segment & 3
             for segment in path.segments
-            if segment_instructions(path.code, segment)[-1 - (segment & 1)].annul
+            if segment_instructions(code, segment)[-1 - (segment & 1)].annul
         }
         assert kinds == {0, 1}
     path = timed_run(model, build(BA_ANNULLED)).path
+    code = path.executable.code_map()
     annulled = [
         segment
         for segment in path.segments
-        if segment_instructions(path.code, segment)[-1].mnemonic == "ba"
+        if segment_instructions(code, segment)[-1].mnemonic == "ba"
     ]
     assert annulled and all(segment & 1 == 0 for segment in annulled)
 
@@ -281,11 +283,13 @@ def test_walker_tables_take_a_counted_real_run(model):
     assert not walker.tables.memo.entries
 
 
-def test_a_build_replays_along_its_own_path(model):
+def test_the_recorded_executable_runs_for_real(model):
+    """No edit maps the recorded program to itself: timing it along
+    its own path runs it, counted as unchained."""
     executable = build(ANNULLED)
     recorded = timed_run(model, executable)
-    replay = timed_run(model, executable, along=recorded.path)
-    assert replay.replayed and outcome(replay) == outcome(recorded)
+    run = timed_run(model, executable, along=recorded.path)
+    assert run.fallback == UNCHAINED and outcome(run) == outcome(recorded)
 
 
 def test_an_unrelated_executable_runs_for_real(model):
@@ -327,12 +331,13 @@ def test_recorded_path_is_the_executed_stream(model):
         assert [id(inst) for inst in laid] == [id(inst) for inst in hooked]
 
 
-def test_a_tiny_memo_evicts_and_stays_exact(model):
+def test_a_tiny_memo_evicts_and_stays_exact(model, monkeypatch):
     """The memo is bounded: at a few entries it evicts continually, and
     the cycles do not change."""
     executable = build(ANNULLED)
     want = reference(model, executable)
-    model.tables.memo = SegmentMemo(limit=4)
+    monkeypatch.setattr("repro.pipeline.tables.SEGMENT_MEMO_LIMIT", 4)
+    model.tables.memo = SegmentMemo()
     assert outcome(timed_run(model, executable)) == want
     memo = model.tables.memo
     assert memo.evictions > 0 and len(memo.entries) <= 4

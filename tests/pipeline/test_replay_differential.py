@@ -4,13 +4,13 @@
 functionally and replays every other build along its recorded path
 (:func:`repro.pipeline.timing.timed_run` with ``along=``). The exact
 oracle stays ``timed_run`` on the build itself. Over every SPEC95
-stand-in, on every shipped machine, for the builds the experiment times
-— compiled, rescheduled, instrumented, instrumented-and-scheduled, and
-scheduled across superblocks — with delay-slot filling off and on, the
-replay must report the build's own cycles and instruction count. The
-builds the experiment replays must actually replay; a superblock
-build may fall back to its own run (compensation trampolines), but
-must then say why.
+stand-in, on every shipped machine, for the builds the experiment
+replays along the compiled program's path — rescheduled, instrumented,
+instrumented-and-scheduled, and scheduled across superblocks — with
+delay-slot filling off and on, the replay must report the build's own
+cycles and instruction count. The first three must actually replay; a
+superblock build may fall back to its own run (compensation
+trampolines), but must then say why.
 
 A divergence is reported with the recorded path shrunk by the tables'
 delta-debugging shrinker to a short run of segments on which the
@@ -40,8 +40,10 @@ from tests.pipeline.test_table_properties import _shrink
 #: needs a compiled program whose blocks differ from the generator's.
 OPTIMIZER_RESTARTS = 2
 
-#: Builds the experiment replays; the superblock build is timed for real.
-REPLAYED = ("compiled", "rescheduled", "instrumented", "scheduled")
+#: Builds whose block maps always chain one for one to the compiled
+#: program, so the replay must place them. A superblock build runs for
+#: real when side-exit compensation added trampoline blocks.
+REPLAYED = ("rescheduled", "instrumented", "scheduled")
 
 #: Instruction budget of the battery's runs, as a multiple of the
 #: compiled program's: an instrumented build runs a few times more,
@@ -140,7 +142,8 @@ def test_replay_matches_every_builds_own_run(machine, fill):
         builds = _builds(model, benchmark, fill)
         recorded = timed_run(model, builds["compiled"])
         budget = BUDGET_FACTOR * recorded.instructions
-        for label, build in builds.items():
+        for label in (*REPLAYED, "superblock"):
+            build = builds[label]
             want = _outcome(model, build, max_instructions=budget)
             replay = _outcome(model, build, max_instructions=budget, along=recorded.path)
             got = replay if isinstance(replay, str) else replay[:2]
