@@ -106,13 +106,34 @@ class Executable:
     # -- decoding ----------------------------------------------------------------
 
     def decode_text(self) -> list[tuple[int, Instruction]]:
-        """Disassemble the text section into (address, instruction)."""
-        text = self.text_section()
-        instructions = decode_bytes(text.data)
-        return [(text.address + 4 * i, inst) for i, inst in enumerate(instructions)]
+        """Disassemble the text section into (address, instruction): a
+        fresh list per call, over one decode (see :meth:`_decoded`)."""
+        return list(self._decoded())
 
     def code_map(self) -> dict[int, Instruction]:
-        return dict(self.decode_text())
+        return dict(self._decoded())
+
+    def _decoded(self) -> tuple[tuple[int, Instruction], ...]:
+        """The text section decoded once per content. The memo names
+        the ``data`` object and address it decoded, so replacing the
+        text section's data or moving it decodes again; it is not a
+        dataclass field, so it is never compared or printed, and
+        :meth:`__getstate__` leaves it out of pickles."""
+        text = self.text_section()
+        memo = self.__dict__.get("_decode_memo")
+        if memo is not None and memo[0] is text.data and memo[1] == text.address:
+            return memo[2]
+        decoded = tuple(
+            (text.address + 4 * i, inst)
+            for i, inst in enumerate(decode_bytes(text.data))
+        )
+        self._decode_memo = (text.data, text.address, decoded)
+        return decoded
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_decode_memo", None)
+        return state
 
     def blocks_from(self, ancestor: "Executable") -> dict[int, int] | None:
         """Each block address of ``ancestor`` mapped to the address of

@@ -60,17 +60,18 @@ def _check_unused(word: int, field: str, value: int, used: bool) -> None:
         )
 
 
-def decode(word: int) -> Instruction:
-    """Decode one 32-bit instruction word into an :class:`Instruction`."""
+def decode(word: int, seq: int = -1) -> Instruction:
+    """Decode one 32-bit instruction word into an :class:`Instruction`
+    numbered ``seq``."""
     if not 0 <= word < (1 << 32):
         raise DecodeError(f"not a 32-bit word: {word:#x}")
     op = word >> 30
 
     if op == 0b01:
-        return Instruction("call", imm=_sign_extend(word, 30))
+        return Instruction("call", imm=_sign_extend(word, 30), seq=seq)
 
     if op == 0b00:
-        return _decode_format2(word)
+        return _decode_format2(word, seq)
 
     rd = (word >> 25) & 0x1F
     op3 = (word >> 19) & 0x3F
@@ -92,6 +93,7 @@ def decode(word: int) -> Instruction:
             rd=_reg("f", rd) if Slot.RD in info.operand_kinds else None,
             rs1=_reg("f", rs1) if Slot.RS1 in info.operand_kinds else None,
             rs2=_reg("f", rs2),
+            seq=seq,
         )
 
     table = _ARITH_BY_OP3 if op == 0b10 else _MEM_BY_OP3
@@ -117,22 +119,25 @@ def decode(word: int) -> Instruction:
         rs1=_reg(kinds[Slot.RS1], rs1) if Slot.RS1 in kinds else None,
         rs2=None if use_imm else (_reg(kinds[Slot.RS2], rs2) if Slot.RS2 in kinds else None),
         imm=simm13 if use_imm else None,
+        seq=seq,
     )
 
 
-def _decode_format2(word: int) -> Instruction:
+def _decode_format2(word: int, seq: int) -> Instruction:
     op2 = (word >> 22) & 0b111
     if op2 == 0b100:  # sethi
         rd = (word >> 25) & 0x1F
         imm22 = word & 0x3FFFFF
         if rd == 0 and imm22 == 0:
-            return Instruction("nop", imm=0)
-        return Instruction("sethi", rd=Reg(RegKind.INT, rd), imm=imm22)
+            return Instruction("nop", imm=0, seq=seq)
+        return Instruction("sethi", rd=Reg(RegKind.INT, rd), imm=imm22, seq=seq)
     if op2 in (0b010, 0b110):  # bicc / fbfcc
         annul = bool((word >> 29) & 1)
         cond = (word >> 25) & 0xF
         table = _BICC_BY_COND if op2 == 0b010 else _FBFCC_BY_COND
-        return Instruction(table[cond], imm=_sign_extend(word, 22), annul=annul)
+        return Instruction(
+            table[cond], imm=_sign_extend(word, 22), annul=annul, seq=seq
+        )
     raise DecodeError(f"unsupported format-2 op2 {op2:#b} in word {word:#010x}")
 
 
@@ -144,10 +149,10 @@ def decode_bytes(data: bytes, *, base_seq: int = 0) -> list[Instruction]:
     """
     if len(data) % 4:
         raise DecodeError(f"text length {len(data)} is not a multiple of 4")
-    out = []
-    for i, (word,) in enumerate(struct.iter_unpack(">I", data)):
-        out.append(decode(word).with_seq(base_seq + i))
-    return out
+    return [
+        decode(word, base_seq + i)
+        for i, (word,) in enumerate(struct.iter_unpack(">I", data))
+    ]
 
 
 def iter_words(data: bytes) -> Iterator[int]:

@@ -115,18 +115,21 @@ def issue_cycles(
     except TableMiss:
         tables.misses += 1
     state = PipelineState(model)
-    return _stream(
-        lambda cycle, inst: issue(cycle, state, inst).issue_cycle,
-        instructions,
-        copies,
-    )
+
+    def walk(cycle: int, instructions: list[Instruction]) -> int:
+        for inst in instructions:
+            cycle = issue(cycle, state, inst).issue_cycle
+        return cycle
+
+    return _stream(walk, instructions, copies)
 
 
-def _stream(issue_at, items: list, copies: int) -> list[int]:
+def _stream(issue_run, items: list, copies: int) -> list[int]:
+    """``copies`` back-to-back runs of ``items`` through ``issue_run(cycle,
+    items) -> last issue cycle``; the issue-cycle cost after each."""
     cycle = 0
     out = []
     for _ in range(copies):
-        for item in items:
-            cycle = issue_at(cycle, item)
+        cycle = issue_run(cycle, items)
         out.append(cycle + 1)
     return out

@@ -616,13 +616,47 @@ class LeanPipeline:
         for index, rel in writes:
             history[index] = issue_cycle + rel
 
-    def issue(self, cycle: int, timing: InstructionTiming) -> int:
-        """Issue ``timing`` at the earliest cycle >= ``cycle`` and commit
-        it, for streams that never weigh candidates against each other
-        (block and trace timing)."""
-        issue_cycle, next_sid = self.query(cycle, timing)
-        self.commit(timing, issue_cycle, next_sid)
-        return issue_cycle
+    def issue(self, cycle: int, timings) -> int:
+        """Issue ``timings`` in order and commit each, the first at the
+        earliest cycle >= ``cycle`` and every later one at the earliest
+        cycle >= the issue before it; the last issue cycle. This is
+        :meth:`query` then :meth:`commit` per timing, with the state id,
+        origin and history kept in locals, for streams that never weigh
+        candidates against each other (block timing, the optimizer's
+        scores, trace timing). Raises :class:`TableMiss` where
+        :meth:`query` would, after which the stream is spent: the
+        caller redoes it whole."""
+        sid = self.sid
+        origin = self.origin
+        history = self.history
+        advance_to = self.tables.advance_to
+        lookup = self.tables.lookup
+        for timing in timings:
+            if sid is None or cycle < origin:
+                raise TableMiss
+            group, bounds, reads, writes = _lean_record(timing)
+            for index, rel in bounds:
+                bound = history[index] - rel
+                if bound > cycle:
+                    cycle = bound
+            at = advance_to(sid, cycle - origin)
+            if at is None:
+                raise TableMiss
+            transition = lookup(at, group)
+            if transition is None:
+                raise TableMiss
+            fit, sid = transition
+            cycle += fit
+            origin = cycle
+            for index, rel in reads:
+                rel += cycle
+                if rel > history[index]:
+                    history[index] = rel
+            for index, rel in writes:
+                history[index] = cycle + rel
+        self.sid = sid
+        self.origin = origin
+        return cycle
 
     def value_ready(self, reg: Reg) -> int:
         """First absolute cycle the register's current value is usable

@@ -255,7 +255,8 @@ def _memo_walk(model: MachineModel, tables, segments: list[int], layout: dict) -
             misses += 1
             start = cycle
             lean.sid, lean.origin = sid, cycle
-            issued = [cycle := lean_issue(cycle, t) for t in timings]
+            # One timing at a time: the write-back needs each issue cycle.
+            issued = [cycle := lean_issue(cycle, (t,)) for t in timings]
             overwrites: dict[int, int] = {}
             maxima: dict[int, int] = {}
             for at, (_, _, reads, writes) in zip(issued, records):

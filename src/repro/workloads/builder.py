@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..eel.cfg import CFG, build_cfg
+from ..eel.cfg import CFG, build_cfg, build_cfg_from_instructions
 from ..eel.executable import DATA_BASE, Executable, TEXT_BASE
 from ..eel.image import Section, SectionKind
 from ..isa.instruction import Instruction
@@ -48,6 +48,14 @@ class ProgramBuilder:
 
     def resolve(self) -> list[Instruction]:
         """Resolve symbolic targets to word displacements."""
+        return [
+            inst.with_seq(index)
+            for index, inst in enumerate(self._targets_resolved())
+        ]
+
+    def _targets_resolved(self) -> list[Instruction]:
+        """:meth:`resolve` without numbering ``seq``, which neither
+        encoding nor block recovery reads."""
         resolved = []
         for index, inst in enumerate(self.instructions):
             if inst.target is not None:
@@ -55,8 +63,19 @@ class ProgramBuilder:
                     raise BuildError(f"undefined label {inst.target!r}")
                 disp = self.labels[inst.target] - index
                 inst = inst.with_target(None, disp)
-            resolved.append(inst.with_seq(index))
+            resolved.append(inst)
         return resolved
+
+    def profile(self) -> tuple[CFG, dict[int, int]]:
+        """(cfg, per-block frequencies) of the resolved instructions as
+        they would be laid out, without encoding them: the blocks
+        :meth:`build`'s CFG recovers from the executable."""
+        resolved = self._targets_resolved()
+        cfg = build_cfg_from_instructions(
+            [(self.text_base + 4 * i, inst) for i, inst in enumerate(resolved)],
+            entry=self.text_base,
+        )
+        return cfg, self._block_frequencies(cfg)
 
     def build(
         self, *, data: bytes = b"", data_base: int = DATA_BASE
@@ -66,11 +85,13 @@ class ProgramBuilder:
         if data:
             sections.append(Section(".data", SectionKind.DATA, data_base, data))
         exe = Executable.from_instructions(
-            self.resolve(), text_base=self.text_base, data_sections=sections
+            self._targets_resolved(), text_base=self.text_base, data_sections=sections
         )
         cfg = build_cfg(exe)
-        frequencies: dict[int, int] = {}
-        for block in cfg:
-            index = (block.address - self.text_base) // 4
-            frequencies[block.index] = self.frequencies[index]
-        return exe, cfg, frequencies
+        return exe, cfg, self._block_frequencies(cfg)
+
+    def _block_frequencies(self, cfg: CFG) -> dict[int, int]:
+        return {
+            block.index: self.frequencies[(block.address - self.text_base) // 4]
+            for block in cfg
+        }

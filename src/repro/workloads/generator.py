@@ -91,10 +91,18 @@ class SyntheticProgram:
 
     @property
     def avg_dynamic_block_size(self) -> float:
-        executions = self.total_block_executions
-        if executions == 0:
-            return 0.0
-        return self.total_dynamic_instructions / executions
+        return _avg_block_size(self.cfg, self.frequencies)
+
+
+def _avg_block_size(cfg: CFG, frequencies: dict[int, int]) -> float:
+    """Dynamic instructions per executed block."""
+    executions = sum(frequencies.values())
+    if executions == 0:
+        return 0.0
+    instructions = sum(
+        frequencies[block.index] * block.instruction_count for block in cfg
+    )
+    return instructions / executions
 
 
 class _BodyGenerator:
@@ -211,23 +219,43 @@ def _draw_size(rng: random.Random, mu: float) -> int:
 
 def generate(spec: WorkloadSpec) -> SyntheticProgram:
     """Generate a workload, calibrating body sizes so the dynamic
-    average block size lands near ``spec.avg_block_size``."""
+    average block size lands near ``spec.avg_block_size``.
+
+    Each calibration trial is measured on its builder's resolved
+    instructions (:meth:`ProgramBuilder.profile`); only the kept trial
+    is encoded into an executable and its CFG recovered from that. The
+    data section opens the spec's random stream and is the same in
+    every trial, so it is drawn once, and each trial draws its code
+    from the stream as it stands after the data."""
+    rng = random.Random(spec.seed)
+    data = bytes(rng.randrange(256) for _ in range(4 * _DATA_WORDS))
+    after_data = rng.getstate()
+
+    def trial(mu: float) -> ProgramBuilder:
+        rng.setstate(after_data)
+        return _draw(spec, mu, rng, data)
+
     mu = max(0.0, spec.avg_block_size - 3.0)
-    program = _generate_once(spec, mu)
+    builder = trial(mu)
     for _ in range(8):
-        actual = program.avg_dynamic_block_size
+        actual = _avg_block_size(*builder.profile())
         target = spec.avg_block_size
         if abs(actual - target) <= 0.10 * target:
             break
         # Body sizes move the average roughly linearly.
         mu = max(0.0, mu + (target - actual))
-        program = _generate_once(spec, mu)
-    return program
+        builder = trial(mu)
+    executable, cfg, frequencies = builder.build(data=data, data_base=DATA_BASE)
+    return SyntheticProgram(
+        spec=spec, executable=executable, cfg=cfg, frequencies=frequencies
+    )
 
 
-def _generate_once(spec: WorkloadSpec, mu: float) -> SyntheticProgram:
-    rng = random.Random(spec.seed)
-    data = bytes(rng.randrange(256) for _ in range(4 * _DATA_WORDS))
+def _draw(
+    spec: WorkloadSpec, mu: float, rng: random.Random, data: bytes
+) -> ProgramBuilder:
+    """The code of one program over ``data``, drawn from ``rng`` with
+    mean body size ``mu``."""
     bodies = _BodyGenerator(spec, rng)
     builder = ProgramBuilder()
 
@@ -254,10 +282,7 @@ def _generate_once(spec: WorkloadSpec, mu: float) -> SyntheticProgram:
         builder.emit(synth.retl(), freq=freq)
         builder.emit(Instruction("nop", imm=0), freq=freq)
 
-    executable, cfg, frequencies = builder.build(data=data, data_base=DATA_BASE)
-    return SyntheticProgram(
-        spec=spec, executable=executable, cfg=cfg, frequencies=frequencies
-    )
+    return builder
 
 
 def _emit_loop(

@@ -1,8 +1,11 @@
 """RXE container tests: serialization round-trip, decoding, running."""
 
+import pickle
+
 import pytest
 
-from repro.isa import assemble
+from repro.eel import executable as executable_module
+from repro.isa import assemble, encode_words
 from repro.eel import (
     DATA_BASE,
     Executable,
@@ -97,3 +100,57 @@ def test_function_symbols_sorted():
         ]
     )
     assert [s.name for s in exe.function_symbols()] == ["a", "b"]
+
+
+def _counting_decodes(monkeypatch):
+    calls = []
+    decode_bytes = executable_module.decode_bytes
+
+    def counted(data, **kwargs):
+        calls.append(data)
+        return decode_bytes(data, **kwargs)
+
+    monkeypatch.setattr(executable_module, "decode_bytes", counted)
+    return calls
+
+
+def test_text_is_decoded_once_per_content(monkeypatch):
+    calls = _counting_decodes(monkeypatch)
+    exe = make_exe()
+    listing = exe.decode_text()
+    assert exe.code_map() == dict(listing)
+    assert exe.run().state.get_reg(9) == 55
+    assert exe.decode_text() == listing
+    assert len(calls) == 1
+
+
+def test_decode_text_hands_out_independent_lists():
+    exe = make_exe()
+    first = exe.decode_text()
+    first.clear()
+    second = exe.decode_text()
+    assert second and second is not exe.decode_text()
+    assert len(second) == exe.instruction_count
+
+
+def test_replacing_the_text_decodes_again(monkeypatch):
+    calls = _counting_decodes(monkeypatch)
+    exe = make_exe()
+    exe.decode_text()
+    text = exe.text_section()
+    text.data = encode_words(assemble("add %g1, %g2, %g3\nretl\nnop"))
+    assert [i.mnemonic for _, i in exe.decode_text()] == ["add", "jmpl", "nop"]
+    text.address = TEXT_BASE + 0x40
+    moved = [TEXT_BASE + 0x40 + 4 * i for i in range(3)]
+    assert [a for a, _ in exe.decode_text()] == moved
+    assert len(calls) == 3
+
+
+def test_decode_memo_is_invisible_to_equality_bytes_and_pickles():
+    decoded, fresh = make_exe(), make_exe()
+    decoded.decode_text()
+    assert decoded == fresh
+    assert repr(decoded) == repr(fresh)
+    assert decoded.to_bytes() == fresh.to_bytes()
+    assert pickle.dumps(decoded) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(decoded)).decode_text() == fresh.decode_text()

@@ -104,6 +104,24 @@ def test_decode_bytes_assigns_seq():
     assert [i.seq for i in insts] == [10, 11, 12]
 
 
+def test_decode_bytes_numbers_like_decode_then_with_seq():
+    """Building each instruction with its ``seq`` gives exactly the
+    instruction a decode renumbered by ``with_seq`` gives, over every
+    word of a generated image."""
+    from repro.isa.decode import iter_words
+    from repro.workloads import WorkloadSpec, generate
+
+    spec = WorkloadSpec(
+        name="seq", seed=5, kind="fp", avg_block_size=9.0, loops=4, call_prob=0.5
+    )
+    data = generate(spec).executable.text_section().data
+    decoded = decode_bytes(data, base_seq=3)
+    assert decoded == [
+        decode(word).with_seq(3 + i) for i, word in enumerate(iter_words(data))
+    ]
+    assert {inst.mnemonic for inst in decoded} >= {"call", "lddf", "bne", "nop"}
+
+
 # -- round-trip property -----------------------------------------------------
 
 

@@ -397,8 +397,7 @@ def test_memo_walk_matches_the_lean_stream_on_random_walks(shipped, seed):
     lean = LeanPipeline(model.tables)
     cycle = 0
     for visit in visits:
-        for inst in layout[visit]:
-            cycle = lean.issue(cycle, model.timing(inst))
+        cycle = lean.issue(cycle, [model.timing(inst) for inst in layout[visit]])
     got = timing._memo_walk(model, model.tables, visits, layout)
     assert got == cycle + 1
     assert model.tables.memo.hits > 0

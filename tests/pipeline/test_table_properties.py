@@ -10,7 +10,10 @@ machines of several widths. The properties:
   tracked its state id names exactly the live occupancy window the
   interpreted rows hold;
 * **lean agreement** — the :class:`~repro.pipeline.tables.LeanPipeline`
-  stream (no occupancy timeline at all) issues at the same cycles;
+  stream (no occupancy timeline at all) issues at the same cycles,
+  through ``query``/``commit`` and through its straight-line
+  ``issue`` loop alike, and both raise
+  :class:`~repro.pipeline.tables.TableMiss` at the same point;
 * **shrinking** — a divergence does not just fail the test: the
   harness first shrinks the offending sequence to a minimal
   reproducer, so the assertion message carries the seed and the
@@ -23,6 +26,7 @@ import pytest
 
 from repro.isa import Instruction, f, r
 from repro.pipeline import PipelineState, issue, pipeline_stalls
+from repro.pipeline.simulator import issue_cycles
 from repro.pipeline.tables import LeanPipeline, TableMiss, attach_tables
 from repro.spawn import load_superscalar
 from tests.walker_tables import use_walker
@@ -69,9 +73,61 @@ def _issue_cycles(model, sequence):
     return out
 
 
+def _query_commit(tables, timings):
+    """The lean stream's issue cycles through ``query``/``commit``, or
+    None when it raises :class:`TableMiss`."""
+    lean = LeanPipeline(tables)
+    cycle, out = 0, []
+    try:
+        for timing in timings:
+            cycle, next_sid = lean.query(cycle, timing)
+            lean.commit(timing, cycle, next_sid)
+            out.append(cycle)
+    except TableMiss:
+        return None
+    return out
+
+
+def _issue_loop(tables, timings, *, stepped):
+    """The lean stream through the straight-line loop
+    :meth:`LeanPipeline.issue`: one timing per call (every issue cycle)
+    or the whole sequence in one call (its last issue cycle); None on
+    :class:`TableMiss`."""
+    lean = LeanPipeline(tables)
+    try:
+        if stepped:
+            cycle, out = 0, []
+            for timing in timings:
+                cycle = lean.issue(cycle, (timing,))
+                out.append(cycle)
+            return out
+        return lean.issue(0, timings)
+    except TableMiss:
+        return None
+
+
 def _diverges(walker, model, sequence):
-    """Do the walker (ground truth) and the model's tables disagree?"""
-    return _issue_cycles(walker, sequence) != _issue_cycles(model, sequence)
+    """Do the walker (ground truth) and the model's tables disagree?
+
+    Compared: issue through a :class:`PipelineState`; the lean stream
+    through ``query``/``commit`` and through the straight-line loop,
+    stepped and whole, which must miss together or agree; and two
+    back-to-back copies through :func:`issue_cycles`."""
+    expected = _issue_cycles(walker, sequence)
+    if _issue_cycles(model, sequence) != expected:
+        return True
+    if issue_cycles(model, sequence, copies=2) != issue_cycles(
+        walker, sequence, copies=2
+    ):
+        return True
+    timings = [model.timing(inst) for inst in sequence]
+    lean = _query_commit(model.tables, timings)
+    if lean is not None and lean != expected:
+        return True
+    if _issue_loop(model.tables, timings, stepped=True) != lean:
+        return True
+    whole = _issue_loop(model.tables, timings, stepped=False)
+    return whole != (None if lean is None else lean[-1])
 
 
 def _shrink(sequence, diverges):
@@ -169,3 +225,90 @@ def test_real_streams_never_diverge(machine):
                 f"divergence at seed {seed}; minimal repro: "
                 f"{[str(i) for i in minimal]}"
             )
+
+
+class _LosesTracking:
+    """A model's tables whose ``at``-th transition has a None successor
+    (the next state past the interning budget)."""
+
+    def __init__(self, tables, at):
+        self._tables = tables
+        self._at = at
+        self.lookups = 0
+        self.misses = 0
+
+    def __getattr__(self, name):
+        return getattr(self._tables, name)
+
+    def lookup(self, sid, group):
+        transition = self._tables.lookup(sid, group)
+        self.lookups += 1
+        if self.lookups == self._at:
+            return transition[0], None
+        return transition
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_a_small_budget_misses_mid_stream_and_redoes_on_the_walker(width):
+    """Tables of 64 states cannot carry these streams to the end: every
+    lean way misses at the same instruction, after issuing some, and
+    :func:`issue_cycles` redoes the stream on the walker, counting one
+    miss per redone stream."""
+    small = load_superscalar(width)
+    tables = attach_tables(small, budget=64, use_disk_cache=False)
+    walker = use_walker(load_superscalar(width))
+    for seed in SEQUENCE_SEEDS:
+        sequence = _sequence(seed, length=24)
+        lean = LeanPipeline(tables)
+        cycle = issued = 0
+        with pytest.raises(TableMiss):
+            for inst in sequence:
+                cycle, next_sid = lean.query(cycle, small.timing(inst))
+                lean.commit(small.timing(inst), cycle, next_sid)
+                issued += 1
+        assert issued > 0, seed
+        assert not _diverges(walker, small, sequence), seed
+        for copies in (1, 2):
+            before = tables.misses
+            got = issue_cycles(small, sequence, copies)
+            assert got == issue_cycles(walker, sequence, copies), seed
+            assert tables.misses == before + 1, seed
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_lost_tracking_then_a_run_misses(width):
+    """A None successor, then more instructions: the straight-line loop
+    raises :class:`TableMiss` where ``query`` does, and the stream is
+    redone on the walker with one counted miss. The instruction after
+    the lost state waits on the one before it, so the stream must
+    advance a state it no longer has."""
+    lossy = load_superscalar(width)
+    lossy.tables = _LosesTracking(attach_tables(lossy, use_disk_cache=False), at=3)
+    walker = use_walker(load_superscalar(width))
+    sequence = [_SAMPLES[i] for i in (0, 3, 9, 10, 1, 11)]  # smul, then sll of it
+    timings = [lossy.timing(inst) for inst in sequence]
+
+    lean = LeanPipeline(lossy.tables)
+    with pytest.raises(TableMiss):
+        lean.issue(0, timings)
+    assert lossy.tables.lookups == 3
+    lossy.tables.lookups = 0
+    assert _query_commit(lossy.tables, timings) is None
+
+    lossy.tables.lookups = 0
+    assert issue_cycles(lossy, sequence) == issue_cycles(walker, sequence)
+    assert lossy.tables.misses == 1
+
+
+def test_a_start_cycle_before_the_origin_misses(machine):
+    """A stream's state is relative to its last issue; asking for an
+    earlier cycle is a :class:`TableMiss` for ``query`` and the loop."""
+    model, tables, _ = machine
+    chain = [model.timing(_SAMPLES[9]), model.timing(_SAMPLES[10])]  # smul; sll uses it
+    lean = LeanPipeline(tables)
+    last = lean.issue(0, chain)
+    assert last > 0 and lean.origin == last
+    with pytest.raises(TableMiss):
+        lean.query(last - 1, chain[0])
+    with pytest.raises(TableMiss):
+        lean.issue(last - 1, chain[:1])
