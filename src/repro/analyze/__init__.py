@@ -1,6 +1,6 @@
 """repro.analyze — static analysis over descriptions, images, and schedules.
 
-Three things live here:
+This package holds:
 
 * a **lint framework** — :class:`Finding`, a rule registry with
   per-rule enable/disable (:func:`registered_rules`,
@@ -12,16 +12,17 @@ Three things live here:
   hazards, delay-slot violations, instrumentation clobbering live
   registers);
 * the **static pre-verifier** :func:`static_verify_schedule`, which
-  proves schedule legality from the dependence DAG without execution
-  and gates the guarded scheduler's differential battery;
+  proves schedule legality from the dependence DAG without execution;
 * the **symbolic translation validator** — a term-level executor over
   the ISA semantics (:mod:`repro.analyze.symex`) and, on top of it,
   :func:`symbolic_verify_schedule` / :func:`symbolic_masked_verify`,
   which prove architectural equivalence of a block and its reordering
   on *all* inputs (verdicts ``proven``/``refuted``/``inconclusive``,
-  with a :class:`Counterexample` on refutation) — the guard's second
-  gate, after the DAG and before the differential battery — plus the
-  symex-powered image rules (:mod:`repro.analyze.symex_rules`).
+  with a :class:`Counterexample` on refutation) — plus the
+  symex-powered image rules (:mod:`repro.analyze.symex_rules`);
+* the **verification ladder** :func:`prove_schedule`, the one place the
+  two gates above and the differential battery are chained: the guard,
+  the superblock pass and ``qpt verify`` all decide through it.
 
 CLI surface: ``qpt_cli lint``. Analyzer failures raise
 :class:`repro.errors.AnalysisError`; findings about the analyzed input
@@ -51,6 +52,7 @@ from .image_rules import (
     lint_image,
     lint_profiled,
 )
+from .ladder import prove_schedule
 from .rules import Rule, get_rule, registered_rules, rule, run_rules, select_rules
 from .static_verify import StaticVerdict, static_verify_schedule
 from .sym_verify import (
@@ -84,6 +86,7 @@ __all__ = [
     "lint_image",
     "load_baseline",
     "lint_profiled",
+    "prove_schedule",
     "registered_rules",
     "render_text",
     "rule",

@@ -50,19 +50,20 @@ Verification (guarded mode)
 
     * the *fall-through path* — the concatenation of original bodies
       and boundary delay slots versus the concatenation of scheduled
-      bodies and the same delays — goes through the static pre-verifier
-      (:func:`~repro.analyze.static_verify.static_verify_schedule`) and
-      escalates to differential execution
-      (:func:`~repro.core.verify.verify_schedule`) only when the DAG
-      alone cannot prove it. Terminators are excluded: an untaken
+      bodies and the same delays — climbs the guard's verification
+      ladder (:func:`~repro.analyze.ladder.prove_schedule`: DAG proof,
+      then symbolic translation validation, then differential
+      execution). Terminators are excluded: an untaken
       conditional branch has no architectural effect, and motion across
       it was already gated on ``writes ∩ terminator.reads = ∅``.
     * every *side exit* i — the original prefix up to and including
       boundary i's delay, versus the scheduled prefix plus boundary i's
       compensation copies. Without speculation this is a true
-      permutation and gets the same static-then-differential proof.
+      permutation and climbs the same ladder.
       With speculation the hoisted code is *extra* on the exit path, so
-      the check is a masked differential: both prefixes execute from
+      the check is symbolic masked validation
+      (:func:`~repro.analyze.sym_verify.symbolic_masked_verify`),
+      escalating to a masked differential: both prefixes execute from
       the verifier's random states and must agree on memory, condition
       codes, Y, and every register **live at the side-exit target**
       under a freshly computed :class:`~repro.eel.liveness.LivenessAnalysis`
@@ -96,8 +97,6 @@ from ..isa.registers import Reg, RegKind
 from ..isa.semantics import SemanticsError, run_straightline
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..obs.report import (
-    ANALYZE_STATIC_ESCALATED,
-    ANALYZE_STATIC_PASS,
     ANALYZE_SYMBOLIC_ESCALATED,
     ANALYZE_SYMBOLIC_PASS,
     ANALYZE_SYMBOLIC_REFUTED,
@@ -115,7 +114,7 @@ from ..spawn.model import MachineModel
 from .block_scheduler import BlockScheduler, SchedulerStats
 from .dependence import SchedulingPolicy, _memory_conflict, build_dependence_graph
 from .list_scheduler import ListScheduler, ScheduleResult
-from .verify import DEFAULT_SEED, VerificationResult, _random_state, verify_schedule
+from .verify import DEFAULT_SEED, VerificationResult, _random_state
 
 #: Branches that are *never* taken: their "side exit" is statically
 #: unreachable (the CFG builder emits no taken edge), so sinking past
@@ -396,8 +395,6 @@ class SuperblockScheduler:
         guarded: bool = False,
         verify_trials: int = 4,
         verify_seed: int = DEFAULT_SEED,
-        static_verify: bool = True,
-        symbolic_verify: bool = True,
         cache=None,
         liveness_factory=None,
         provenance=None,
@@ -423,8 +420,6 @@ class SuperblockScheduler:
         self.guarded = guarded
         self.verify_trials = verify_trials
         self.verify_seed = verify_seed
-        self.static_verify = static_verify
-        self.symbolic_verify = symbolic_verify
         self.cache = cache if cache is not None else getattr(self.inner, "cache", None)
         self._cache_context = (
             self.cache.context_for(model, self.policy)
@@ -886,53 +881,18 @@ class SuperblockScheduler:
     def _check_exact(
         self, original: list[Instruction], scheduled: list[Instruction]
     ) -> str | None:
-        """Static DAG proof, then symbolic translation validation, then
-        differential escalation — the same ladder the guarded block
-        scheduler climbs."""
-        structural_checked = False
-        if self.static_verify:
-            from ..analyze.static_verify import static_verify_schedule  # lazy
+        """The guard's verification ladder; a failure reason, or None."""
+        from ..analyze.ladder import prove_schedule  # lazy: analyze imports core
 
-            verdict = static_verify_schedule(
-                original, scheduled, policy=self.policy
-            )
-            if verdict.proven:
-                self.recorder.count(ANALYZE_STATIC_PASS)
-                return None
-            if verdict.refuted:
-                return "; ".join(verdict.reasons) or "statically refuted"
-            self.recorder.count(ANALYZE_STATIC_ESCALATED)
-            structural_checked = True
-        if self.symbolic_verify:
-            from ..analyze.sym_verify import symbolic_verify_schedule  # lazy
-
-            verdict = symbolic_verify_schedule(
-                original,
-                scheduled,
-                policy=self.policy,
-                check_structure=not structural_checked,
-                seed=self.verify_seed,
-            )
-            if verdict.proven:
-                self.recorder.count(ANALYZE_SYMBOLIC_PASS)
-                return None
-            if verdict.refuted:
-                self.recorder.count(ANALYZE_SYMBOLIC_REFUTED)
-                reasons = list(verdict.reasons)
-                if verdict.counterexample is not None:
-                    reasons.append(f"counterexample: {verdict.counterexample}")
-                return "; ".join(reasons) or "symbolically refuted"
-            self.recorder.count(ANALYZE_SYMBOLIC_ESCALATED)
-        result = verify_schedule(
+        result, _gate = prove_schedule(
             original,
             scheduled,
             policy=self.policy,
             trials=self.verify_trials,
             seed=self.verify_seed,
+            recorder=self.recorder,
         )
-        if not result.ok:
-            return "; ".join(result.failures) or "verification failed"
-        return None
+        return None if result.ok else "; ".join(result.failures)
 
     def _verify_plan(
         self,
@@ -984,28 +944,25 @@ class SuperblockScheduler:
                 if fresh_liveness is None:
                     fresh_liveness = LivenessAnalysis(cfg)
                 live = fresh_liveness.live_in(taken.dst)
-                if self.symbolic_verify:
-                    from ..analyze.sym_verify import symbolic_masked_verify  # lazy
+                from ..analyze.sym_verify import symbolic_masked_verify  # lazy
 
-                    verdict = symbolic_masked_verify(
-                        exit_orig,
-                        exit_new,
-                        live,
-                        policy=self.policy,
-                        seed=self.verify_seed,
-                    )
-                    if verdict.proven:
-                        self.recorder.count(ANALYZE_SYMBOLIC_PASS)
-                        continue
-                    if verdict.refuted:
-                        self.recorder.count(ANALYZE_SYMBOLIC_REFUTED)
-                        reasons = list(verdict.reasons)
-                        if verdict.counterexample is not None:
-                            reasons.append(
-                                f"counterexample: {verdict.counterexample}"
-                            )
-                        return f"side exit at boundary {i}: " + "; ".join(reasons)
-                    self.recorder.count(ANALYZE_SYMBOLIC_ESCALATED)
+                verdict = symbolic_masked_verify(
+                    exit_orig,
+                    exit_new,
+                    live,
+                    policy=self.policy,
+                    seed=self.verify_seed,
+                )
+                if verdict.proven:
+                    self.recorder.count(ANALYZE_SYMBOLIC_PASS)
+                    continue
+                if verdict.refuted:
+                    self.recorder.count(ANALYZE_SYMBOLIC_REFUTED)
+                    reasons = list(verdict.reasons)
+                    if verdict.counterexample is not None:
+                        reasons.append(f"counterexample: {verdict.counterexample}")
+                    return f"side exit at boundary {i}: " + "; ".join(reasons)
+                self.recorder.count(ANALYZE_SYMBOLIC_ESCALATED)
                 result = masked_differential(
                     exit_orig,
                     exit_new,

@@ -17,7 +17,7 @@ paper's scheduler relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 from .opcodes import Category, Format, OpcodeInfo, Slot, lookup
@@ -198,17 +198,37 @@ class Instruction:
 
     # -- convenience -------------------------------------------------------
 
+    def _derived(self, name: str, value) -> "Instruction":
+        """A copy with one non-operand field changed. The operands are
+        this instruction's, validated when it was built, so the copy
+        skips ``__post_init__``; it holds exactly what
+        ``dataclasses.replace`` would give it (the fields, then the
+        opcode info) and none of the per-instance memos."""
+        clone = object.__new__(Instruction)
+        state = clone.__dict__
+        own = self.__dict__
+        for field_name in _FIELD_NAMES:
+            state[field_name] = own[field_name]
+        state[name] = value
+        state["_info"] = self.info
+        return clone
+
     def retag(self, tag: str) -> "Instruction":
-        return replace(self, tag=tag)
+        return self._derived("tag", tag)
 
     def with_seq(self, seq: int) -> "Instruction":
-        return replace(self, seq=seq)
+        return self._derived("seq", seq)
 
     def with_target(self, target: str | None, imm: int | None = None) -> "Instruction":
         return replace(self, target=target, imm=imm)
 
     def __str__(self) -> str:
         return format_instruction(self)
+
+
+#: Field names in declaration order: the order ``__init__`` stores them
+#: in, which a derived copy keeps so it pickles like a replaced one.
+_FIELD_NAMES = tuple(f.name for f in fields(Instruction))
 
 
 def format_instruction(inst: Instruction) -> str:

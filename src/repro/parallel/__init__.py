@@ -17,9 +17,11 @@ Worker processes come from the persistent spawn-once pool in
 stay hot across builds, which is what makes parallel-cold
 faster than serial instead of slower (see ``docs/performance.md``).
 
-Both compose with guarded scheduling: the guard serves only *verified*
-entries and inserts only after a block's proof passes, so memoization
-never weakens the safety contract.
+The cache composes with guarded scheduling: the guard serves only
+*verified* entries and inserts only after a block's proof passes, so
+memoization never weakens the safety contract. Sharding does not:
+guarded builds prove every block in their own process at every
+``jobs`` (:func:`make_transform`).
 """
 
 from .benchmark import ModeTiming, ScalingReport, measure_modes, render_report

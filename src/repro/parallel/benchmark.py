@@ -111,7 +111,8 @@ def measure_modes(
     (:attr:`ScalingReport.pool_spawn_s`): the pool spawns once per
     process — at daemon start in production — so folding its one-time
     fork/model-build cost into every measured build would misstate the
-    steady state the pool exists to provide.
+    steady state the pool exists to provide. ``guarded`` builds never
+    use the pool, so they warm none and report a spawn cost of 0.
 
     ``repeats`` re-runs every mode that many times and reports each
     mode's *fastest* wall time — the standard noise floor for
@@ -176,26 +177,31 @@ def measure_modes(
         options=ParallelOptions(jobs=1),
         cache_factory=ScheduleCache,
     )
-    spawn_start = time.perf_counter()
-    warm_pool(model, jobs=jobs, recorder=recorder)
-    # One untimed build through the pool (throwaway schedule cache): the
-    # first build in a fresh process additionally pays one-time lazy
-    # transition-table learning, which it persists back to the disk
-    # cache when done. Production pays both at daemon start, so the
-    # timed ``parallel`` mode below — against a *fresh* cache — is the
-    # pool's steady state on a cold schedule cache, which is the number
-    # the mode exists to report. The one-time cost is not hidden: it is
-    # part of ``pool_spawn_s``.
-    _build(
-        model,
-        policy,
-        program,
-        options=ParallelOptions(jobs=jobs),
-        cache=ScheduleCache(),
-        guarded=guarded,
-        recorder=None,
-    )
-    pool_spawn_s = time.perf_counter() - spawn_start
+    pool_spawn_s = 0.0
+    if not guarded:
+        # A guarded build never leases the pool: it proves every block
+        # in this process at any ``jobs``, so its ``parallel`` row is
+        # the serial guard against a fresh cache.
+        spawn_start = time.perf_counter()
+        warm_pool(model, jobs=jobs, recorder=recorder)
+        # One untimed build through the pool (throwaway schedule cache):
+        # the first build in a fresh process additionally pays one-time
+        # lazy transition-table learning, which it persists back to the
+        # disk cache when done. Production pays both at daemon start, so
+        # the timed ``parallel`` mode below — against a *fresh* cache —
+        # is the pool's steady state on a cold schedule cache, which is
+        # the number the mode exists to report. The one-time cost is not
+        # hidden: it is part of ``pool_spawn_s``.
+        _build(
+            model,
+            policy,
+            program,
+            options=ParallelOptions(jobs=jobs),
+            cache=ScheduleCache(),
+            guarded=False,
+            recorder=None,
+        )
+        pool_spawn_s = time.perf_counter() - spawn_start
     warm = timed(
         "parallel",
         options=ParallelOptions(jobs=jobs),

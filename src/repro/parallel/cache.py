@@ -17,9 +17,11 @@ Trust is explicit: each entry carries a ``verified`` bit. The plain
 unverified entries (the same trust level as running the scheduler
 itself), while :class:`~repro.robust.guard.GuardedBlockScheduler` only
 *serves* verified entries and only *inserts* after a block's schedule
-has passed :func:`~repro.core.verify.verify_schedule` — an unverified
-(or poisoned) entry is treated as a miss and re-proven, and a
-quarantined block is never inserted at all.
+has climbed the verification ladder
+(:func:`~repro.analyze.ladder.prove_schedule`) — an unverified (or
+poisoned) entry is treated as a miss and re-proven, and a quarantined
+block is never inserted at all. Parallel workers insert unverified
+entries only: guarded builds do not shard.
 
 Integrity is checked, not assumed: every entry carries a checksum
 (:func:`~repro.parallel.fingerprint.schedule_checksum`) bound to its
@@ -278,7 +280,6 @@ class ScheduleCache:
         context: str,
         region: Sequence[Instruction],
         *,
-        require_verified: bool = False,
         digest: str | None = None,
     ) -> bool:
         """Membership check without touching LRU order or counters.
@@ -289,9 +290,7 @@ class ScheduleCache:
         """
         key = (context, digest if digest is not None else region_digest(region))
         entry = self._entries.get(key)
-        if entry is None or entry.checksum != _entry_checksum(key, entry):
-            return False
-        return entry.verified or not require_verified
+        return entry is not None and entry.checksum == _entry_checksum(key, entry)
 
     def verified_entries(self) -> int:
         return sum(1 for entry in self._entries.values() if entry.verified)

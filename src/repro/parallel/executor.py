@@ -11,11 +11,18 @@ layout begins it walks every routine (:func:`~repro.eel.routine.split_routines`)
 collects each block's would-be body (instrumentation already merged, via
 :meth:`~repro.eel.editor.Editor.block_body`), dedupes regions by
 fingerprint, and ships the misses to worker processes in routine-order
-shards. Workers schedule (and, in guarded mode, *verify*) each region;
-the parent drains shard results **in submission order** and inserts them
-into the shared :class:`~repro.parallel.cache.ScheduleCache`. The
-ordinary serial layout pass then runs unchanged — every region is a
-cache hit replaying the same permutation a serial run would compute.
+shards. Workers schedule each region; the parent drains shard results
+**in submission order** and inserts them into the shared
+:class:`~repro.parallel.cache.ScheduleCache`. The ordinary serial
+layout pass then runs unchanged — every region is a cache hit
+replaying the same permutation a serial run would compute.
+
+Only unguarded builds shard. A guarded build proves every block it
+emits with the verification ladder
+(:func:`~repro.analyze.ladder.prove_schedule`), which runs in the
+build's own process at every ``jobs``: :func:`make_transform` returns
+the serial guard, so a block's verified bit means the same thing at
+``--jobs 1`` and ``--jobs 8``.
 
 Determinism is therefore structural, not coincidental: parallel and
 serial runs execute the *same* final code path over the same cache
@@ -71,7 +78,7 @@ from ..core.dependence import SchedulingPolicy
 from ..core.list_scheduler import ListScheduler, ScheduleResult
 from ..core.regions import split_regions
 from ..core.superblock import SuperblockConfig, SuperblockScheduler
-from ..core.verify import DEFAULT_SEED, verify_schedule
+from ..core.verify import DEFAULT_SEED
 from ..eel.routine import split_routines
 from ..isa.instruction import Instruction
 from ..obs.recorder import NULL_RECORDER, MetricsRecorder, Recorder
@@ -172,11 +179,10 @@ def _worker_model(name: str, source: str) -> MachineModel:
 def _schedule_shard(payload):
     """Schedule one shard's regions; runs in a worker process.
 
-    ``payload`` is (model name, SADL source, policy, regions, verify?,
-    trials, seed, telemetry?). Returns ``(results, snapshot)``: one
-    ``(digest, order, original_cycles, scheduled_cycles, verified,
-    checksum)`` tuple per region in input order, plus — when
-    ``telemetry`` is set — a
+    ``payload`` is (model name, SADL source, policy, regions,
+    telemetry?). Returns ``(results, snapshot)``: one ``(digest, order,
+    original_cycles, scheduled_cycles, checksum)`` tuple per region in
+    input order, plus — when ``telemetry`` is set — a
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` of the private
     registry the shard's scheduler recorded into (None otherwise). The
     parent merges the snapshot, so forward-pass decision telemetry is
@@ -187,7 +193,7 @@ def _schedule_shard(payload):
     the result (``parallel.ipc_rejected``) on any mismatch, so a
     corrupted IPC message can cost a re-schedule but never an edit.
     """
-    name, source, policy, regions, verify, trials, seed, telemetry = payload
+    name, source, policy, regions, telemetry = payload
     # Tables compile on a worker's *first* contact with a model and
     # stay for the process lifetime — in a persistent pool that is
     # effectively "at startup". The eager prefix is loaded from the
@@ -208,17 +214,6 @@ def _schedule_shard(payload):
         known = known_digests.get(id(region))
         region = list(region)
         result = scheduler.schedule_region(region)
-        verified = False
-        if verify:
-            verified = bool(
-                verify_schedule(
-                    region,
-                    result.instructions,
-                    policy=policy,
-                    trials=trials,
-                    seed=seed,
-                )
-            )
         digest = known if known is not None else region_digest(region)
         out.append(
             (
@@ -226,13 +221,11 @@ def _schedule_shard(payload):
                 tuple(result.order),
                 result.original_cycles,
                 result.scheduled_cycles,
-                verified,
                 schedule_checksum(
                     digest,
                     result.order,
                     result.original_cycles,
                     result.scheduled_cycles,
-                    verified,
                 ),
             )
         )
@@ -279,19 +272,15 @@ def _mp_context(start_method: str | None = None):
 class ParallelScheduler:
     """A :data:`~repro.eel.editor.BlockTransform` that pre-schedules
     across worker processes, then delegates the serial pass to ``inner``
-    (a :class:`BlockScheduler` or :class:`GuardedBlockScheduler` wired
-    to the same cache)."""
+    (a plain :class:`BlockScheduler` wired to the same cache)."""
 
     def __init__(
         self,
-        inner,
+        inner: BlockScheduler,
         cache: ScheduleCache,
         *,
         jobs: int,
         recorder: Recorder | None = None,
-        verify_in_workers: bool | None = None,
-        verify_trials: int = 4,
-        verify_seed: int = DEFAULT_SEED,
         start_method: str | None = None,
         shard_deadline_s: float = DEFAULT_SHARD_DEADLINE_S,
         max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
@@ -309,11 +298,6 @@ class ParallelScheduler:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.model = inner.model
         self.policy = inner.policy
-        if verify_in_workers is None:
-            verify_in_workers = isinstance(inner, GuardedBlockScheduler)
-        self.verify_in_workers = verify_in_workers
-        self.verify_trials = getattr(inner, "verify_trials", verify_trials)
-        self.verify_seed = getattr(inner, "verify_seed", verify_seed)
         self.start_method = start_method
         self.persistent_pool = persistent_pool
         self.supervision_policy = SupervisionPolicy(
@@ -338,24 +322,14 @@ class ParallelScheduler:
         self._digests: dict[int, str] = {}
         #: block index -> digest of each non-empty region in split
         #: order, for *every* block walked at collect time (hits and
-        #: duplicates included). Handed to a plain inner
-        #: :class:`BlockScheduler` as ``digest_hints`` so the layout
-        #: pass skips re-canonicalizing regions collect just digested.
+        #: duplicates included). Handed to the inner scheduler as
+        #: ``digest_hints`` so the layout pass skips re-canonicalizing
+        #: regions collect just digested.
         self._block_digests: dict[int, list[str]] = {}
-
-    # Delegated observers, so callers see one transform interface.
 
     @property
     def stats(self) -> SchedulerStats:
         return self.inner.stats
-
-    @property
-    def quarantine(self):
-        return getattr(self.inner, "quarantine", ())
-
-    @property
-    def fallbacks(self) -> int:
-        return getattr(self.inner, "fallbacks", 0)
 
     def __call__(self, block, body):
         return self.inner(block, body)
@@ -376,13 +350,8 @@ class ParallelScheduler:
             self.recorder.count(PARALLEL_FALLBACKS)
             return
         shards = self._collect_shards(editor, skip_blocks)
-        # Hand the layout pass the digests collect just computed. Only a
-        # plain BlockScheduler takes hints: the guarded scheduler's
-        # verify-and-memoize flow keys its own digests, and a hint that
-        # went stale would merely cost a cache miss there anyway — but
-        # there is no need to reason about it, so it gets none.
-        if type(self.inner) is BlockScheduler:
-            self.inner.digest_hints = self._block_digests
+        # Hand the layout pass the digests collect just computed.
+        self.inner.digest_hints = self._block_digests
         if not shards:
             return
         name, source = spec
@@ -424,12 +393,7 @@ class ParallelScheduler:
                     if digest in seen:
                         continue
                     seen.add(digest)
-                    if self.cache.contains(
-                        self._context,
-                        instructions,
-                        require_verified=self.verify_in_workers,
-                        digest=digest,
-                    ):
+                    if self.cache.contains(self._context, instructions, digest=digest):
                         continue
                     work.append(instructions)
                     self._digests[id(instructions)] = digest
@@ -443,16 +407,7 @@ class ParallelScheduler:
         self, name: str, source: str, shards: list[list[list[Instruction]]]
     ) -> None:
         def make_payload(regions):
-            return (
-                name,
-                source,
-                self.policy,
-                regions,
-                self.verify_in_workers,
-                self.verify_trials,
-                self.verify_seed,
-                self.recorder.enabled,
-            )
+            return (name, source, self.policy, regions, self.recorder.enabled)
 
         context = _mp_context(self.start_method)
         leased = False
@@ -533,11 +488,7 @@ class ParallelScheduler:
                 self.ipc_rejected += 1
                 self.recorder.count(PARALLEL_IPC_REJECTED)
                 continue
-            order, original_cycles, scheduled_cycles, verified = unpacked
-            if self.verify_in_workers and not verified:
-                # The guard will re-prove this region serially; a failed
-                # worker proof must not leave any entry behind.
-                continue
+            order, original_cycles, scheduled_cycles = unpacked
             scheduled = [region[i] for i in order]
             self.cache.insert(
                 self._context,
@@ -548,7 +499,6 @@ class ParallelScheduler:
                     original_cycles=original_cycles,
                     scheduled_cycles=scheduled_cycles,
                 ),
-                verified=verified,
                 digest=digest,
             )
             self.warmed_regions += 1
@@ -563,14 +513,12 @@ class ParallelScheduler:
         computed at collect time, recomputed here only if the caller
         has none); the order must be a permutation of the region's
         indices (a corrupted permutation could otherwise drop or
-        duplicate instructions); the checksum binds the cycle counts
-        and verified bit to the digest, catching tampering between the
-        worker computing and the parent consuming.
+        duplicate instructions); the checksum binds the cycle counts to
+        the digest, catching tampering between the worker computing and
+        the parent consuming.
         """
         try:
-            digest, order, original_cycles, scheduled_cycles, verified, checksum = (
-                result
-            )
+            digest, order, original_cycles, scheduled_cycles, checksum = result
             order = tuple(int(i) for i in order)
         except (TypeError, ValueError):
             return None
@@ -581,10 +529,10 @@ class ParallelScheduler:
         if sorted(order) != list(range(len(region))):
             return None
         if checksum != schedule_checksum(
-            digest, order, original_cycles, scheduled_cycles, verified
+            digest, order, original_cycles, scheduled_cycles
         ):
             return None
-        return order, int(original_cycles), int(scheduled_cycles), bool(verified)
+        return order, int(original_cycles), int(scheduled_cycles)
 
     def _merge_telemetry(self, snapshot) -> None:
         """Fold a worker's metrics snapshot into the parent recorder.
@@ -625,13 +573,17 @@ def make_transform(
 ):
     """The editor transform for a (jobs, cache) configuration.
 
-    Returns a plain :class:`BlockScheduler` / :class:`GuardedBlockScheduler`
-    when ``jobs == 1``, or a :class:`ParallelScheduler` wrapping one
-    when ``jobs > 1``. Pass ``cache`` to share one
+    Unguarded, returns a plain :class:`BlockScheduler` when
+    ``jobs == 1`` or a :class:`ParallelScheduler` wrapping one when
+    ``jobs > 1``. Guarded, returns a :class:`GuardedBlockScheduler` at
+    every ``jobs``: the guard proves each block in this process with
+    the verification ladder, so its output, quarantine and gate
+    counters do not depend on ``jobs``. Pass ``cache`` to share one
     :class:`ScheduleCache` across calls (warm runs); otherwise a fresh
-    cache is created per transform — and discarded entirely when
-    ``use_cache`` is off (it then only transports worker results within
-    a single build).
+    cache is created per transform — and none at all when
+    ``use_cache`` is off (an unguarded ``jobs > 1`` build then gets a
+    private cache that only carries worker results into its own layout
+    pass).
 
     ``superblock`` (True, or a
     :class:`~repro.core.superblock.SuperblockConfig`) wraps the result
@@ -642,14 +594,15 @@ def make_transform(
     ``profile`` supplies its block execution frequencies.
     """
     options = options or ParallelOptions()
-    if cache is None and (options.use_cache or options.jobs > 1):
+    sharded = options.jobs > 1 and not guarded
+    if cache is None and (options.use_cache or sharded):
         cache = ScheduleCache(
             max_entries=options.cache_entries, recorder=recorder
         )
-    if not options.use_cache and options.jobs <= 1:
+    if not options.use_cache and not sharded:
         cache = None
     if guarded:
-        inner = GuardedBlockScheduler(
+        transform = GuardedBlockScheduler(
             model,
             policy,
             recorder,
@@ -660,16 +613,13 @@ def make_transform(
             cache=cache,
         )
     else:
-        inner = BlockScheduler(model, policy, recorder, cache=cache)
-    transform = inner
-    if options.jobs > 1:
+        transform = BlockScheduler(model, policy, recorder, cache=cache)
+    if sharded:
         transform = ParallelScheduler(
-            inner,
+            transform,
             cache,
             jobs=options.jobs,
             recorder=recorder,
-            verify_trials=verify_trials,
-            verify_seed=verify_seed,
             start_method=options.start_method,
             shard_deadline_s=options.shard_deadline_s,
             max_shard_retries=options.max_shard_retries,

@@ -167,12 +167,13 @@ def schedule_checksum(
     order: Sequence[int],
     original_cycles: int,
     scheduled_cycles: int,
-    verified: bool,
+    verified: bool = False,
 ) -> str:
     """Integrity checksum binding a schedule result to its subject.
 
     ``subject`` names what the result is *for* (a region digest, or
-    ``context:region`` for a cache entry). Anything that mutates the
+    ``context:region`` for a cache entry); ``verified`` is a cache
+    entry's proof bit (worker results carry none). Anything that mutates the
     payload after the checksum was computed — a bit flip in a persisted
     cache entry, a corrupted IPC message from a worker process — makes
     the stored checksum stale, so recomputation at the consumer side

@@ -19,7 +19,8 @@ from ..isa.instruction import Instruction
 from ..isa.registers import Reg
 from ..obs.recorder import Recorder
 from ..obs.report import HAZARDS, STALL_CYCLES
-from .stalls import _Prepared, _prepare
+from ..spawn.model import InstructionTiming
+from .stalls import _prepare
 from .state import PipelineState
 
 
@@ -49,7 +50,7 @@ class Hazard:
 def _collect_hazards(
     cycle: int,
     state: PipelineState,
-    prepared: _Prepared,
+    timing: InstructionTiming,
     *,
     first_only: bool,
 ) -> list[Hazard]:
@@ -58,6 +59,7 @@ def _collect_hazards(
     still run and overlapping hazards all surface; check order matches
     ``_fits`` exactly, so the first element is *the* blocking hazard."""
     unit_index = state.model.unit_index
+    prepared = _prepare(timing.trace)
     hazards: list[Hazard] = []
 
     own: dict[str, int] = {}
@@ -77,13 +79,13 @@ def _collect_hazards(
                         return hazards
                 own[event.unit] = held + event.count
 
-    for rel, reg in prepared.reads:
+    for reg, rel in timing.reads:
         if cycle + rel < state.value_ready(reg):
             hazards.append(Hazard("raw", cycle + rel, register=reg))
             if first_only:
                 return hazards
 
-    for rel, reg in prepared.writes:
+    for reg, rel in timing.writes:
         avail = cycle + rel
         if avail < state.value_ready(reg):
             hazards.append(Hazard("waw", avail, register=reg))
@@ -102,9 +104,8 @@ def explain_stall(
 ) -> Hazard | None:
     """The first hazard preventing ``inst`` from issuing at ``cycle``,
     or None when it can issue immediately."""
-    timing = state.model.timing(inst)
     hazards = _collect_hazards(
-        cycle, state, _prepare(timing), first_only=True
+        cycle, state, state.model.timing(inst), first_only=True
     )
     return hazards[0] if hazards else None
 
@@ -116,9 +117,8 @@ def all_hazards(
     ``cycle`` (empty when it can issue). The first element is always
     :func:`explain_stall`'s answer; the rest are the overlapping hazards
     it hides."""
-    timing = state.model.timing(inst)
     return _collect_hazards(
-        cycle, state, _prepare(timing), first_only=False
+        cycle, state, state.model.timing(inst), first_only=False
     )
 
 
@@ -142,7 +142,7 @@ def stall_breakdown(
 def attribute_stalls(
     recorder: Recorder,
     state: PipelineState,
-    prepared: _Prepared,
+    timing: InstructionTiming,
     requested: int,
     issue_cycle: int,
 ) -> None:
@@ -156,7 +156,7 @@ def attribute_stalls(
     the pre-commit state (before the instruction's own effects land).
     """
     for cycle in range(requested, issue_cycle):
-        hazards = _collect_hazards(cycle, state, prepared, first_only=False)
+        hazards = _collect_hazards(cycle, state, timing, first_only=False)
         if not hazards:  # pragma: no cover - _fits and the walker agree
             recorder.count(STALL_CYCLES, 1, kind="unknown")
             continue

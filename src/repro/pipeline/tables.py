@@ -151,8 +151,6 @@ class PipelineTables:
         #: disk-cache entries refused (failed checksum, not a table of
         #: this model, or malformed); each was recompiled and rewritten.
         self.rejected = 0
-        #: group id -> prepared events for the group's bare trace.
-        self._group_prepared: dict[int, object] = {}
         #: how many states the on-disk cache entry held when these
         #: tables were compiled/loaded (0 when no disk cache is in
         #: play); :func:`persist_learned` compares against it.
@@ -267,7 +265,7 @@ class PipelineTables:
     def _learn(self, sid: int, group: int) -> tuple[int, int | None] | None:
         # The scratch is a bare occupancy timeline: a PipelineState
         # would read ``model.tables``, which is what is being compiled.
-        from .stalls import _materialize, _prepare_uncached, _search
+        from .stalls import _materialize, _prepare, _search
         from .state import Occupancy
 
         trace = self.model.group_trace(group)
@@ -277,11 +275,7 @@ class PipelineTables:
             # the window bound (its successors would violate the
             # row-count invariant): both stay interpreted.
             return None
-        prepared = self._group_prepared.get(group)
-        if prepared is None:
-            bare = InstructionTiming(group=group, trace=trace, reads=(), writes=())
-            prepared = _prepare_uncached(bare)
-            self._group_prepared[group] = prepared
+        prepared = _prepare(trace)
         scratch = Occupancy(self.model)
         scratch._free = [list(row) for row in self._split(self.keys[sid])]
         fit = _search(0, scratch, prepared)

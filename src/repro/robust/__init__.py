@@ -6,9 +6,9 @@ to make it; this package makes that a *runtime* property of the
 production path, not a test-suite-only one:
 
 * :class:`GuardedBlockScheduler` — verify-and-fallback around the block
-  scheduler: every scheduled block is re-proven by
-  :func:`~repro.core.verify.verify_schedule`; failures fall back to the
-  original instruction order and are quarantined
+  scheduler: every scheduled block is proven by the verification
+  ladder (:func:`~repro.analyze.ladder.prove_schedule`); failures fall
+  back to the original instruction order and are quarantined
   (:class:`QuarantineReport`), with budgets (:class:`GuardBudget`) for
   graceful degradation under instruction-count or wall-clock pressure.
 * :mod:`repro.robust.faults` — a fault-injection harness that corrupts

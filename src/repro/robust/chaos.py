@@ -155,10 +155,10 @@ def chaos_corrupt_ipc_worker(payload):
 
     results, snapshot = _schedule_shard(payload)
     if results and _claim_token("corrupt-ipc"):
-        digest, order, original, scheduled, verified, checksum = results[0]
-        results = [
-            (digest, order, original, scheduled + 1, verified, checksum)
-        ] + list(results[1:])
+        digest, order, original, scheduled, checksum = results[0]
+        results = [(digest, order, original, scheduled + 1, checksum)] + list(
+            results[1:]
+        )
     return results, snapshot
 
 

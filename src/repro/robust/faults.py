@@ -21,7 +21,7 @@ a silently wrong output:
   scheduler in a :class:`SabotagedScheduler` that applies an illegal
   mutation (swapping a dependent pair, dropping or duplicating an
   instruction) to each block's schedule. Every sabotaged block must be
-  quarantined by the guard's ``verify_schedule`` check.
+  quarantined by the guard's verification ladder.
 * **symbolic-validator faults** (:func:`inject_symbolic_faults`) aim
   the same corruptions — plus block reversal and immediate tampering —
   at the static→symbolic proof chain instead of the dynamic guard. A
@@ -690,20 +690,13 @@ def inject_cache_faults(
     recorder: Recorder | None = None,
     verify_trials: int = 2,
     verify_seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> list[FaultOutcome]:
-    """Attack the schedule cache; every attack must be neutralized.
-
-    ``jobs > 1`` routes the poisoned-cache build through the parallel
-    executor, proving worker pre-scheduling cannot resurrect a bad
-    entry either.
-    """
+    """Attack the schedule cache; every attack must be neutralized."""
     # Imported lazily: repro.parallel imports this package's guard.
     from ..core.list_scheduler import ScheduleResult
     from ..core.regions import split_regions
     from ..eel.cfg import build_cfg
     from ..parallel.cache import ScheduleCache
-    from ..parallel.executor import ParallelOptions, make_transform
 
     rec = recorder if recorder is not None else NULL_RECORDER
     policy = policy or SchedulingPolicy()
@@ -790,17 +783,10 @@ def inject_cache_faults(
                 verified=False,
             )
             injected += 1
-    transform = make_transform(
-        model,
-        policy,
-        rec,
-        options=ParallelOptions(jobs=jobs),
-        cache=poisoned,
-        guarded=True,
-        verify_trials=verify_trials,
-        verify_seed=verify_seed,
+    served_poison = (
+        text(Editor(executable, recorder=rec).build(guard(cache=poisoned)))
+        != reference
     )
-    served_poison = text(Editor(executable, recorder=rec).build(transform)) != reference
     outcomes.append(
         FaultOutcome(
             fault="poisoned-unverified-entry",
@@ -982,14 +968,14 @@ def run_fault_injection(
 ) -> FaultInjectionReport:
     """Run the whole catalog against ``model``; see the module docstring.
 
-    ``jobs`` routes the cache fault class through the parallel executor
-    as well, covering the cached+parallel production path. ``chaos``
-    appends the process-level chaos classes
+    ``chaos`` appends the process-level chaos classes
     (:func:`~repro.robust.chaos.run_chaos_suite`: worker crashes,
     hangs, corrupted IPC, torn ledger writes, bit-flipped cache
     entries) to the same report; ``chaos_only`` restricts the chaos
     pass to the named fault classes and ``chaos_workdir`` pins its
-    scratch directory (both forwarded verbatim).
+    scratch directory (both forwarded verbatim). ``jobs`` sizes the
+    chaos pass's worker pools (at least two); the other classes run
+    in this process.
     """
     if executable is None:
         executable = default_workload()
@@ -1033,7 +1019,6 @@ def run_fault_injection(
             recorder=recorder,
             verify_trials=verify_trials,
             verify_seed=verify_seed,
-            jobs=jobs,
         )
     )
     report.outcomes.append(

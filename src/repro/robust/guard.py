@@ -5,9 +5,9 @@ safe or decline to make it. :class:`GuardedBlockScheduler` wraps the
 ordinary :class:`~repro.core.block_scheduler.BlockScheduler` in exactly
 that contract:
 
-* every scheduled block is re-checked by
-  :func:`~repro.core.verify.verify_schedule` (permutation + dependence
-  DAG + optional differential execution);
+* every scheduled block is proven by the verification ladder
+  (:func:`~repro.analyze.ladder.prove_schedule`: dependence-DAG proof,
+  then symbolic translation validation, then differential execution);
 * on any verification failure — or any exception out of the scheduler —
   the block **falls back to its original instruction order** and is
   *quarantined*: a :class:`QuarantineReport` is recorded and counted
@@ -34,22 +34,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..analyze.static_verify import static_verify_schedule
-from ..analyze.sym_verify import symbolic_verify_schedule
+from ..analyze.ladder import prove_schedule
 from ..core.block_scheduler import BlockScheduler, SchedulerStats
 from ..core.dependence import SchedulingPolicy, build_dependence_graph
 from ..core.regions import join_regions, split_regions
-from ..core.verify import DEFAULT_SEED, VerificationResult, verify_schedule
+from ..core.verify import DEFAULT_SEED
 from ..eel.cfg import BasicBlock
 from ..errors import BudgetExceeded, ReproError, VerificationError
 from ..isa.instruction import Instruction
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..obs.report import (
-    ANALYZE_STATIC_ESCALATED,
-    ANALYZE_STATIC_PASS,
-    ANALYZE_SYMBOLIC_ESCALATED,
-    ANALYZE_SYMBOLIC_PASS,
-    ANALYZE_SYMBOLIC_REFUTED,
     GUARD_BLOCKS_VERIFIED,
     GUARD_CACHE_SERVED,
     GUARD_FALLBACKS,
@@ -135,8 +129,6 @@ class GuardedBlockScheduler:
         strict: bool = False,
         verify_trials: int = 4,
         verify_seed: int = DEFAULT_SEED,
-        static_verify: bool = True,
-        symbolic_verify: bool = True,
         validate_model: bool = True,
         cache=None,
         clock=time.perf_counter,
@@ -161,8 +153,6 @@ class GuardedBlockScheduler:
         self.strict = strict
         self.verify_trials = verify_trials
         self.verify_seed = verify_seed
-        self.static_verify = static_verify
-        self.symbolic_verify = symbolic_verify
         self._clock = clock
         self._elapsed = 0.0
         self.quarantine: list[QuarantineReport] = []
@@ -245,7 +235,14 @@ class GuardedBlockScheduler:
         try:
             with self.recorder.span("robust.guard_block", block=block.index):
                 scheduled = self.inner.schedule_body(original)
-                verdict = self._verify(original, scheduled)
+                verdict, _gate = prove_schedule(
+                    original,
+                    scheduled,
+                    policy=self.policy,
+                    trials=self.verify_trials,
+                    seed=self.verify_seed,
+                    recorder=self.recorder,
+                )
         except Exception as exc:  # a buggy scheduler must not crash the edit
             if self.strict:
                 raise VerificationError(
@@ -296,68 +293,6 @@ class GuardedBlockScheduler:
             scheduled, delay = self.inner._refill_delay_slot(block, scheduled)
         self.recorder.count(SCHED_BLOCKS)
         return scheduled, delay
-
-    # -- verification ------------------------------------------------------------
-
-    def _verify(
-        self, original: list[Instruction], scheduled: list[Instruction]
-    ) -> VerificationResult:
-        """The verification gate chain: static DAG proof, then symbolic
-        translation validation, then differential execution for whatever
-        remains inconclusive.
-
-        A static *refutation* is final — it is exactly the dynamic
-        verifier's permutation/DAG checks, so the dynamic verdict would
-        be the same failure. A static *proof* means every reordered
-        pair is fully ordered by the dependence DAG, so both orders
-        compute identical states and the differential battery cannot
-        fail; skipping it changes nothing but cost. The symbolic gate
-        extends the proof to reorders the DAG cannot decide (memory
-        moves across the instrumentation/original boundary): identical
-        architectural terms on both sides subsume the battery, a
-        witness-confirmed mismatch is a final refutation, and anything
-        else escalates — so guarded output stays byte-identical.
-        """
-        structural_checked = False
-        if self.static_verify:
-            with self.recorder.span("verify.static"):
-                static = static_verify_schedule(
-                    original, scheduled, policy=self.policy
-                )
-            if static.proven:
-                self.recorder.count(ANALYZE_STATIC_PASS)
-                return VerificationResult(True)
-            if static.refuted:
-                return VerificationResult(False, list(static.reasons))
-            self.recorder.count(ANALYZE_STATIC_ESCALATED)
-            structural_checked = True
-        if self.symbolic_verify:
-            with self.recorder.span("verify.symbolic"):
-                verdict = symbolic_verify_schedule(
-                    original,
-                    scheduled,
-                    policy=self.policy,
-                    check_structure=not structural_checked,
-                    seed=self.verify_seed,
-                )
-            if verdict.proven:
-                self.recorder.count(ANALYZE_SYMBOLIC_PASS)
-                return VerificationResult(True)
-            if verdict.refuted:
-                self.recorder.count(ANALYZE_SYMBOLIC_REFUTED)
-                reasons = list(verdict.reasons)
-                if verdict.counterexample is not None:
-                    reasons.append(f"counterexample: {verdict.counterexample}")
-                return VerificationResult(False, reasons)
-            self.recorder.count(ANALYZE_SYMBOLIC_ESCALATED)
-        with self.recorder.span("verify.dynamic"):
-            return verify_schedule(
-                original,
-                scheduled,
-                policy=self.policy,
-                trials=self.verify_trials,
-                seed=self.verify_seed,
-            )
 
     # -- schedule cache ----------------------------------------------------------
 

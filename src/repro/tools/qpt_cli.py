@@ -32,9 +32,11 @@ Operates on RXE executables:
 ``instrument`` writes a JSON sidecar (``<out>.json``) recording counter
 addresses and the placement plan so ``run --profile`` can print exact
 per-block execution counts after the simulated run. ``--jobs N``
-pre-schedules regions across N worker processes and ``--cache``
-memoizes schedules in the content-addressed cache (both byte-identical
-to a serial, uncached run); ``benchmarks`` times the serial / parallel /
+pre-schedules regions across N worker processes (unguarded builds
+only: ``--safe``/``--strict`` prove every block in-process at any
+``--jobs``) and ``--cache`` memoizes schedules in the
+content-addressed cache (both byte-identical to a serial, uncached
+run); ``benchmarks`` times the serial / parallel /
 warm-cache modes against each other and cross-checks their outputs.
 Every stall query runs through the machine's compiled
 stall-transition tables, which answer exactly as the interpreted
@@ -203,9 +205,10 @@ def cmd_instrument(args) -> int:
         model = load_machine(args.machine)
         # safe: verify every block, fall back + report on failure.
         # strict: the first quarantine raises a typed error, which the
-        # top-level handler turns into exit 1. --jobs pre-schedules (and
-        # under --safe, pre-verifies) regions in worker processes; the
-        # output is byte-identical to a serial run.
+        # top-level handler turns into exit 1. --jobs pre-schedules
+        # regions in worker processes for unguarded builds (the output
+        # is byte-identical to a serial run); --safe/--strict prove
+        # every block in this process at any --jobs.
         transform = make_transform(
             model,
             policy,
@@ -434,96 +437,73 @@ def _lint_model(args):
 
 
 def cmd_verify(args) -> int:
-    """Schedule every block and climb the verification ladder on each:
-    static DAG proof → symbolic translation validation → randomized
-    differential battery — the same chain the guard runs, with per-gate
-    tallies and wall time reported (and optionally gated/ledgered)."""
+    """Schedule every block and climb the guard's verification ladder
+    (:func:`~repro.analyze.ladder.prove_schedule`) on each: static DAG
+    proof → symbolic translation validation → randomized differential
+    battery, with per-gate tallies and wall time read back from the
+    ladder's recorder (and optionally gated/ledgered)."""
     import time as _time
 
-    from ..analyze import static_verify_schedule, symbolic_verify_schedule
+    from ..analyze import prove_schedule
     from ..core.block_scheduler import BlockScheduler
-    from ..core.verify import verify_schedule
     from ..eel.cfg import build_cfg
+    from ..obs.report import ANALYZE_STATIC_PASS, ANALYZE_SYMBOLIC_PASS
 
     model = _lint_model(args)
     executable = _load(args.input)
     policy = SchedulingPolicy(fill_delay_slots=args.fill_delay_slots)
     scheduler = BlockScheduler(model, policy)
     cfg = build_cfg(executable)
+    recorder = MetricsRecorder()
 
-    counts = {
-        "blocks": 0,
-        "static_proven": 0,
-        "symbolic_proven": 0,
-        "dynamic_verified": 0,
-        "refuted": 0,
-    }
-    wall = {"static": 0.0, "symbolic": 0.0, "dynamic": 0.0}
+    blocks = 0
     failures: list[str] = []
-
-    def _fail(block, reasons) -> None:
-        counts["refuted"] += 1
-        failures.append(
-            f"block {block.index} @ {block.address:#x}: " + "; ".join(reasons)
-        )
-
     start = _time.perf_counter()
     for block in cfg:
         body = list(block.body)
         if not body:
             continue
         scheduled = scheduler.schedule_body(body)
-        counts["blocks"] += 1
-        t0 = _time.perf_counter()
-        static = static_verify_schedule(body, scheduled, policy=policy)
-        wall["static"] += _time.perf_counter() - t0
-        if static.proven:
-            counts["static_proven"] += 1
-            continue
-        if static.refuted:
-            _fail(block, static.reasons)
-            continue
-        if args.symbolic:
-            t0 = _time.perf_counter()
-            verdict = symbolic_verify_schedule(
-                body,
-                scheduled,
-                policy=policy,
-                check_structure=False,
-                seed=args.verify_seed,
-            )
-            wall["symbolic"] += _time.perf_counter() - t0
-            if verdict.proven:
-                counts["symbolic_proven"] += 1
-                continue
-            if verdict.refuted:
-                reasons = list(verdict.reasons)
-                if verdict.counterexample is not None:
-                    reasons.append(f"counterexample: {verdict.counterexample}")
-                _fail(block, reasons)
-                continue
-        t0 = _time.perf_counter()
-        result = verify_schedule(
+        blocks += 1
+        result, _gate = prove_schedule(
             body,
             scheduled,
             policy=policy,
             trials=args.verify_trials,
             seed=args.verify_seed,
+            recorder=recorder,
+            symbolic=args.symbolic,
         )
-        wall["dynamic"] += _time.perf_counter() - t0
-        if result.ok:
-            counts["dynamic_verified"] += 1
-        else:
-            _fail(block, result.failures)
+        if not result.ok:
+            failures.append(
+                f"block {block.index} @ {block.address:#x}: "
+                + "; ".join(result.failures)
+            )
     total_wall = _time.perf_counter() - start
 
-    blocks = counts["blocks"]
-    proven = counts["static_proven"] + counts["symbolic_proven"]
-    proven_rate = proven / blocks if blocks else 1.0
-    escalated = blocks - counts["static_proven"]
-    symbolic_pass_rate = (
-        counts["symbolic_proven"] / escalated if escalated else 1.0
-    )
+    metrics = recorder.metrics
+    static_proven = int(metrics.counter_total(ANALYZE_STATIC_PASS))
+    symbolic_proven = int(metrics.counter_total(ANALYZE_SYMBOLIC_PASS))
+    counts = {
+        "blocks": blocks,
+        "static_proven": static_proven,
+        "symbolic_proven": symbolic_proven,
+        "dynamic_verified": (
+            blocks - static_proven - symbolic_proven - len(failures)
+        ),
+        "refuted": len(failures),
+    }
+    wall = {
+        gate: sum(
+            (cell.total for cell in metrics.timers.get(f"verify.{gate}", {}).values()),
+            0.0,
+        )
+        for gate in ("static", "symbolic", "dynamic")
+    }
+
+    proven_rate = (static_proven + symbolic_proven) / blocks if blocks else 1.0
+    escalated = blocks - static_proven
+    symbolic_pass_rate = symbolic_proven / escalated if escalated else 1.0
 
     payload = {
         "machine": model.name,
@@ -938,7 +918,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="differential trials per block (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="pre-schedule regions across N worker processes "
-                   "(default %(default)s; output is byte-identical)")
+                   "(default %(default)s; output is byte-identical); "
+                   "--safe/--strict builds verify in this process and "
+                   "do not shard")
     p.add_argument("--cache", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="memoize schedules in the content-addressed "
@@ -1083,8 +1065,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "--machine")
     p.add_argument("--verify-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="also exercise the cached+parallel path with N "
-                   "workers in the cache fault class")
+                   help="worker processes for the --chaos pools (at "
+                   "least 2); the other fault classes run in this "
+                   "process")
     p.add_argument("--chaos", action="store_true",
                    help="append the process-level chaos classes (worker "
                    "crash/hang, corrupt IPC, torn ledger, bit-flipped "

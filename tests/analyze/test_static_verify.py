@@ -1,5 +1,6 @@
-"""Static pre-verifier: proofs, refutations, and the guard's first gate."""
+"""Static pre-verifier: proofs, refutations, and the ladder's first gate."""
 
+from repro.analyze import prove_schedule
 from repro.core import BlockScheduler, SchedulingPolicy
 from repro.core.verify import verify_schedule
 from repro.isa.instruction import TAG_INSTRUMENTATION, Instruction
@@ -15,6 +16,8 @@ from repro.robust import GuardedBlockScheduler
 from repro.spawn import load_machine
 from repro.analyze import static_verify_schedule
 from repro.workloads import sum_loop
+
+from .test_ladder import guarded_pairs
 
 MACHINE = load_machine("ultrasparc")
 
@@ -86,22 +89,27 @@ def test_refutation_matches_dynamic_verifier():
     assert set(static.reasons) <= set(dynamic.failures)
 
 
-# -- the guard's first gate -------------------------------------------------------
+# -- the ladder's first gate ------------------------------------------------------
 
 
 def test_guard_output_byte_identical_with_and_without_static_gate():
+    """The static gate only saves work: the guarded build equals the
+    unguarded one, and every block the gate proves also passes the
+    differential battery a guard without the gate would have run."""
     executable = sum_loop(12).executable
     policy = SchedulingPolicy(fill_delay_slots=True)
-    gated = SlowProfiler(executable).instrument(
-        GuardedBlockScheduler(MACHINE, policy, static_verify=True)
-    )
-    ungated = SlowProfiler(executable).instrument(
-        GuardedBlockScheduler(MACHINE, policy, static_verify=False)
-    )
+    gated = SlowProfiler(executable).instrument(GuardedBlockScheduler(MACHINE, policy))
     plain = SlowProfiler(executable).instrument(BlockScheduler(MACHINE, policy))
-    assert gated.executable.to_bytes() == ungated.executable.to_bytes()
     assert gated.executable.to_bytes() == plain.executable.to_bytes()
     assert gated.quarantine == ()
+    proven = 0
+    for body, scheduled in guarded_pairs(executable, policy):
+        result, gate = prove_schedule(body, scheduled, policy=policy)
+        assert result.ok
+        if gate == "static":
+            proven += 1
+            assert verify_schedule(body, scheduled, policy=policy).ok
+    assert proven > 0
 
 
 def test_guard_counts_static_passes():
@@ -118,14 +126,6 @@ def test_guard_counts_static_passes():
     table = analyze_table(metrics)
     assert "static pre-verifier" in table
     assert f"{int(proven)}/{int(proven + escalated)} blocks proven" in table
-
-
-def test_static_gate_off_runs_no_static_checks():
-    recorder = MetricsRecorder()
-    guard = GuardedBlockScheduler(MACHINE, recorder=recorder, static_verify=False)
-    SlowProfiler(sum_loop(12).executable).instrument(guard)
-    assert recorder.metrics.counter_total(ANALYZE_STATIC_PASS) == 0
-    assert recorder.metrics.counter_total(ANALYZE_STATIC_ESCALATED) == 0
 
 
 # -- statically resolved disjoint intervals (sethi counter bases) -----------------

@@ -1,11 +1,13 @@
 """The symbolic translation validator: verdicts, witnesses, gate wiring."""
 
 from repro.analyze import (
+    prove_schedule,
     static_verify_schedule,
     symbolic_masked_verify,
     symbolic_verify_schedule,
 )
 from repro.core import BlockScheduler, SchedulingPolicy
+from repro.eel.cfg import BasicBlock
 from repro.isa.instruction import TAG_INSTRUMENTATION, Instruction
 from repro.isa.registers import r
 from repro.obs import (
@@ -19,6 +21,8 @@ from repro.qpt import SlowProfiler
 from repro.robust import GuardedBlockScheduler
 from repro.spawn import load_machine
 from repro.workloads import sum_loop
+
+from .test_ladder import guarded_pairs
 
 MACHINE = load_machine("ultrasparc")
 
@@ -193,32 +197,50 @@ def test_masked_requires_straight_line_code():
     assert verdict.inconclusive
 
 
-# -- the guard's second gate ------------------------------------------------------
+# -- the ladder's second gate, as the guard climbs it -----------------------------
+
+
+def guard_one_block(original, scheduled):
+    """Guard one block whose scheduler proposes ``scheduled``; returns
+    the emitted body, the guard and its recorder's metrics."""
+
+    class Proposing(BlockScheduler):
+        def schedule_body(self, body):
+            return list(scheduled)
+
+    recorder = MetricsRecorder()
+    guard = GuardedBlockScheduler(
+        MACHINE,
+        recorder=recorder,
+        inner=Proposing(MACHINE, recorder=recorder),
+        validate_model=False,
+    )
+    block = BasicBlock(index=0, address=0x1000, body=list(original))
+    emitted, _delay = guard(block, list(original))
+    return emitted, guard, recorder.metrics
 
 
 def test_guard_output_byte_identical_with_and_without_symbolic_gate():
+    """The symbolic gate changes no verdict on a guarded build's blocks,
+    so a guard without it would emit the same bytes."""
     executable = sum_loop(12).executable
     policy = SchedulingPolicy(fill_delay_slots=True)
-    gated = SlowProfiler(executable).instrument(
-        GuardedBlockScheduler(MACHINE, policy, symbolic_verify=True)
-    )
-    ungated = SlowProfiler(executable).instrument(
-        GuardedBlockScheduler(MACHINE, policy, symbolic_verify=False)
-    )
+    gated = SlowProfiler(executable).instrument(GuardedBlockScheduler(MACHINE, policy))
     plain = SlowProfiler(executable).instrument(BlockScheduler(MACHINE, policy))
-    assert gated.executable.to_bytes() == ungated.executable.to_bytes()
     assert gated.executable.to_bytes() == plain.executable.to_bytes()
     assert gated.quarantine == ()
+    for body, scheduled in guarded_pairs(executable, policy):
+        with_gate, _ = prove_schedule(body, scheduled, policy=policy)
+        without, _ = prove_schedule(body, scheduled, policy=policy, symbolic=False)
+        assert with_gate.ok and without.ok
 
 
 def test_guard_counts_symbolic_pass_on_escalated_block():
     load = Instruction("ld", rd=r(10), rs1=r(8), imm=0)
     store = Instruction("st", rd=r(11), rs1=r(9), imm=0).retag(TAG_INSTRUMENTATION)
-    recorder = MetricsRecorder()
-    guard = GuardedBlockScheduler(MACHINE, recorder=recorder, validate_model=False)
-    result = guard._verify([load, store], [store, load])
-    assert result.ok
-    metrics = recorder.metrics
+    emitted, guard, metrics = guard_one_block([load, store], [store, load])
+    assert emitted == [store, load]
+    assert guard.quarantine == []
     assert metrics.counter_total(ANALYZE_SYMBOLIC_PASS) == 1
     assert metrics.counter_total(ANALYZE_SYMBOLIC_REFUTED) == 0
 
@@ -229,12 +251,12 @@ def test_guard_counts_symbolic_pass_on_escalated_block():
 def test_guard_counts_symbolic_refutation():
     load = Instruction("ld", rd=r(10), rs1=r(24), imm=0)
     store = Instruction("st", rd=r(11), rs1=r(24), imm=0).retag(TAG_INSTRUMENTATION)
-    recorder = MetricsRecorder()
-    guard = GuardedBlockScheduler(MACHINE, recorder=recorder, validate_model=False)
-    result = guard._verify([load, store], [store, load])
-    assert not result.ok
-    assert any("counterexample" in failure for failure in result.failures)
-    assert recorder.metrics.counter_total(ANALYZE_SYMBOLIC_REFUTED) == 1
+    emitted, guard, metrics = guard_one_block([load, store], [store, load])
+    assert emitted == [load, store]  # quarantined to the original order
+    (report,) = guard.quarantine
+    assert report.kind == "verification"
+    assert "counterexample" in report.reason
+    assert metrics.counter_total(ANALYZE_SYMBOLIC_REFUTED) == 1
 
 
 def test_guard_escalates_inconclusive_to_dynamic():
@@ -247,19 +269,28 @@ def test_guard_escalates_inconclusive_to_dynamic():
     store = Instruction("st", rd=r(11), rs1=r(9), imm=0).retag(TAG_INSTRUMENTATION)
     original = [sethi, bad_load, store]
     scheduled = [sethi, store, bad_load]
-    recorder = MetricsRecorder()
-    guard = GuardedBlockScheduler(MACHINE, recorder=recorder, validate_model=False)
-    result = guard._verify(original, scheduled)
-    assert recorder.metrics.counter_total(ANALYZE_SYMBOLIC_ESCALATED) == 1
-    assert recorder.metrics.counter_total(ANALYZE_SYMBOLIC_PASS) == 0
-    assert result.ok
+    emitted, guard, metrics = guard_one_block(original, scheduled)
+    assert metrics.counter_total(ANALYZE_SYMBOLIC_ESCALATED) == 1
+    assert metrics.counter_total(ANALYZE_SYMBOLIC_PASS) == 0
+    assert "verify.dynamic" in metrics.timers
+    assert emitted == scheduled and guard.quarantine == []
 
 
 def test_symbolic_gate_off_runs_no_symbolic_checks():
+    policy = SchedulingPolicy(fill_delay_slots=True)
+    pairs = guarded_pairs(sum_loop(12).executable, policy)
+    load = Instruction("ld", rd=r(10), rs1=r(8), imm=0)
+    store = Instruction("st", rd=r(11), rs1=r(9), imm=0).retag(TAG_INSTRUMENTATION)
+    pairs.append(([load, store], [store, load]))  # escalates past the DAG
     recorder = MetricsRecorder()
-    guard = GuardedBlockScheduler(
-        MACHINE, recorder=recorder, symbolic_verify=False
-    )
-    SlowProfiler(sum_loop(12).executable).instrument(guard)
-    assert recorder.metrics.counter_total(ANALYZE_SYMBOLIC_PASS) == 0
-    assert recorder.metrics.counter_total(ANALYZE_SYMBOLIC_ESCALATED) == 0
+    gates = {
+        prove_schedule(
+            body, scheduled, policy=policy, recorder=recorder, symbolic=False
+        )[1]
+        for body, scheduled in pairs
+    }
+    assert "dynamic" in gates and "symbolic" not in gates
+    metrics = recorder.metrics
+    assert metrics.counter_total(ANALYZE_SYMBOLIC_PASS) == 0
+    assert metrics.counter_total(ANALYZE_SYMBOLIC_ESCALATED) == 0
+    assert "verify.symbolic" not in metrics.timers

@@ -148,3 +148,35 @@ def test_instruction_pickles_after_model_timing():
     assert copy == inst and copy.seq == 3 and copy.tag == "instr"
     assert "_timing_memo" not in copy.__dict__
     assert model.timing(copy) is timing
+
+
+def test_derived_copies_match_replace_on_every_spec95_instruction():
+    """``with_seq`` and ``retag`` skip operand re-validation; each must
+    still build exactly the copy ``dataclasses.replace`` builds — equal,
+    with the same instance state (no memo carried over) and the same
+    pickle — on every instruction of every SPEC95 stand-in."""
+    import pickle
+    from dataclasses import replace
+
+    from repro.workloads.spec95 import all_benchmarks, generate_benchmark
+
+    checked = 0
+    for name in all_benchmarks():
+        text = generate_benchmark(name, trip_count=4).executable.decode_text()
+        for _address, inst in text:
+            # Fill per-instance memos, which a copy must not inherit.
+            inst.regs_read()
+            inst.write_mask()
+            for derived, replaced in (
+                (inst.with_seq(inst.seq + 7), replace(inst, seq=inst.seq + 7)),
+                (
+                    inst.retag(TAG_INSTRUMENTATION),
+                    replace(inst, tag=TAG_INSTRUMENTATION),
+                ),
+            ):
+                assert derived == replaced
+                assert derived.__dict__ == replaced.__dict__
+                assert list(derived.__dict__) == list(replaced.__dict__)
+                assert pickle.dumps(derived) == pickle.dumps(replaced)
+            checked += 1
+    assert checked > 1000

@@ -132,6 +132,44 @@ def test_guarded_modes_equivalent_across_verify_seeds(verify_seed):
         assert shared.verified_entries() == len(shared) > 0
 
 
+def test_guarded_builds_prove_identically_at_every_jobs():
+    """A guarded build proves every block with the verification ladder
+    in its own process at every ``jobs``: same bytes, same quarantine,
+    and the same gate counters — every block climbs the same gates, so
+    its verified bit means the same thing at ``--jobs 4`` as at 1."""
+
+    def guarded(jobs):
+        recorder = MetricsRecorder()
+        transform = make_transform(
+            MACHINE,
+            POLICY,
+            recorder,
+            options=ParallelOptions(jobs=jobs),
+            guarded=True,
+        )
+        profiled = SlowProfiler(program.executable, recorder=recorder).instrument(
+            transform
+        )
+        counters = {
+            name: dict(series)
+            for name, series in recorder.metrics.counters.items()
+            if name.startswith(("analyze.", "guard."))
+        }
+        return (
+            bytes(profiled.executable.text_section().data),
+            [str(report) for report in profiled.quarantine],
+            counters,
+        )
+
+    program = workload(77)
+    reference = guarded(1)
+    counters = reference[2]
+    assert counters.get("analyze.static_pass"), counters
+    assert "guard.cache_served" not in counters
+    for jobs in (2, 4):
+        assert guarded(jobs) == reference, f"guarded jobs={jobs} diverged"
+
+
 def test_parallel_workers_actually_warm_the_cache():
     program = workload(55)
     shared = ScheduleCache()

@@ -228,11 +228,11 @@ def test_profiling_sequence_cost_matches_paper(ultra, supersparc):
 
 
 def test_prepare_cache_is_model_keyed():
-    """Regression: the shared prepared-events cache is keyed by timing
-    content, not group ids. Timing-group ids are handed out per model in
-    formation order, so two different machines routinely assign the same
-    ``(group, reads, writes)`` triple to *different* pipeline traces —
-    ``add`` on hypersparc and ultrasparc is one such pair. A key on that
+    """Regression: prepared events belong to a trace, not to a group id.
+    Timing-group ids are handed out per model in formation order, so two
+    different machines routinely assign the same ``(group, reads,
+    writes)`` triple to *different* pipeline traces — ``add`` on
+    hypersparc and ultrasparc is one such pair. A memo keyed on that
     triple would hand the second machine the first machine's prepared
     events and silently mis-time it."""
     from repro.pipeline.stalls import _prepare
@@ -250,10 +250,10 @@ def test_prepare_cache_is_model_keyed():
     assert timing_h.writes == timing_u.writes
     assert timing_h.trace.signature() != timing_u.trace.signature()
 
-    # Warm the shared cache with hypersparc first, then demand the
-    # ultrasparc bundle: it must be built from the ultrasparc trace.
-    prepared_h = _prepare(timing_h)
-    prepared_u = _prepare(timing_u)
+    # Prepare hypersparc first, then demand the ultrasparc bundle: it
+    # must be built from the ultrasparc trace.
+    prepared_h = _prepare(timing_h.trace)
+    prepared_u = _prepare(timing_u.trace)
     assert prepared_u is not prepared_h
     assert prepared_u.acquires != prepared_h.acquires
 
@@ -283,7 +283,7 @@ def test_prepare_cache_tells_apart_models_of_one_description():
     their timing groups in the order they first meet instructions, so
     ``ld`` and ``add`` — equal register accesses, different traces on
     the SuperSPARC — can both be group 0. Digest plus group id named
-    one cache entry for both; the trace content tells them apart."""
+    one cache entry for both; each trace carries its own events."""
     from repro.pipeline.stalls import _prepare, _prepare_uncached
     from repro.spawn.library import description_text, load_machine_from_source
 
@@ -299,6 +299,8 @@ def test_prepare_cache_tells_apart_models_of_one_description():
     )
     assert first.trace.signature() != second.trace.signature()
 
-    assert _prepare(first).acquires == _prepare_uncached(first).acquires
-    assert _prepare(second).acquires == _prepare_uncached(second).acquires
-    assert _prepare(second).acquires != _prepare(first).acquires
+    assert _prepare(first.trace).acquires == _prepare_uncached(first.trace).acquires
+    assert (
+        _prepare(second.trace).acquires == _prepare_uncached(second.trace).acquires
+    )
+    assert _prepare(second.trace).acquires != _prepare(first.trace).acquires

@@ -122,6 +122,28 @@ def test_verify_job_reports_verification(service):
     assert result["stats"]["quarantined"] == 0
 
 
+def test_verify_job_reports_the_same_at_every_jobs():
+    """A verify job proves every block in the daemon's own process, so a
+    two-worker service reports what a serial one does — verdict, stats
+    (cache traffic included) and bytes."""
+    spec = {**SPEC, "name": "serve-verify-jobs", "seed": 79}
+    reports = []
+    for jobs in (1, 2):
+        fresh = SchedulingService(ServiceConfig(jobs=jobs))
+        (result,) = batch(fresh, encode_job("verify", workload=spec))["results"]
+        assert result["ok"], result
+        reports.append(
+            (
+                result["verified"],
+                result["quarantine"],
+                result["stats"],
+                result["text_digest"],
+            )
+        )
+    assert reports[0] == reports[1]
+    assert reports[0][0] is True
+
+
 def test_return_executable_false_drops_the_image(service):
     response = batch(
         service, encode_job("instrument", workload=SPEC, return_executable=False)
