@@ -77,7 +77,8 @@ def static_verify_schedule(
 ) -> StaticVerdict:
     """Prove ``scheduled`` legal (or illegal) from the DAG alone."""
     # 1. Permutation — identical to the dynamic verifier's first check.
-    if sorted(map(str, original)) != sorted(map(str, scheduled)):
+    order = _recover_order(original, scheduled)
+    if order is None:
         return StaticVerdict(
             "refuted", ("not a permutation of the original instructions",)
         )
@@ -85,8 +86,7 @@ def static_verify_schedule(
     # 2. Topological order of the dependence DAG — identical to the
     #    dynamic verifier's second check.
     graph = build_dependence_graph(original, policy)
-    order = _recover_order(original, scheduled)
-    if order is None or not graph.is_valid_order(order):
+    if not graph.is_valid_order(order):
         return StaticVerdict("refuted", ("violates the dependence DAG",))
 
     # 3. The one modeling gap: under the permissive policy the DAG has

@@ -286,13 +286,13 @@ def symbolic_verify_schedule(
     if check_structure:
         # Structural refutations are final — identical to the dynamic
         # verifier's first two checks, same messages.
-        if sorted(map(str, original)) != sorted(map(str, scheduled)):
+        order = _recover_order(original, scheduled)
+        if order is None:
             return SymbolicVerdict(
                 "refuted", ("not a permutation of the original instructions",)
             )
         graph = build_dependence_graph(original, policy)
-        order = _recover_order(original, scheduled)
-        if order is None or not graph.is_valid_order(order):
+        if not graph.is_valid_order(order):
             return SymbolicVerdict("refuted", ("violates the dependence DAG",))
 
     # Delay-slot glue: split both sequences at control transfers. The

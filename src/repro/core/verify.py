@@ -98,14 +98,14 @@ def verify_schedule(
     failures: list[str] = []
 
     # 1. Permutation.
-    if sorted(map(str, original)) != sorted(map(str, scheduled)):
+    order = _recover_order(original, scheduled)
+    if order is None:
         failures.append("not a permutation of the original instructions")
         return VerificationResult(False, failures)
 
     # 2. Topological order of the dependence DAG.
     graph = build_dependence_graph(original, policy)
-    order = _recover_order(original, scheduled)
-    if order is None or not graph.is_valid_order(order):
+    if not graph.is_valid_order(order):
         failures.append("violates the dependence DAG")
 
     # 3. Differential execution (skipped for regions with control
@@ -141,14 +141,20 @@ def verify_schedule(
 
 
 def _recover_order(original, scheduled) -> list[int] | None:
-    """Map each scheduled instruction back to its original index."""
+    """The permutation check: each scheduled instruction's original
+    index, or None when ``scheduled`` is not a permutation of
+    ``original``. Instructions match by assembly text (each renders
+    once, however many gates ask); equal texts map to original indexes
+    in original order."""
+    if len(original) != len(scheduled):
+        return None
     remaining: dict[str, list[int]] = {}
-    for index, inst in enumerate(original):
-        remaining.setdefault(str(inst), []).append(index)
+    for index in range(len(original) - 1, -1, -1):
+        remaining.setdefault(str(original[index]), []).append(index)
     order = []
     for inst in scheduled:
         bucket = remaining.get(str(inst))
         if not bucket:
             return None
-        order.append(bucket.pop(0))
+        order.append(bucket.pop())
     return order

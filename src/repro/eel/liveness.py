@@ -16,13 +16,39 @@ from dataclasses import dataclass
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Category
-from ..isa.registers import FCC, ICC, Reg, RegKind, Y, f, r
+from ..isa.registers import FCC, ICC, PC, Reg, Y, f, r
 from .cfg import CFG, BasicBlock
 
 #: Registers assumed live at indirect exits / returns: everything.
 _ALL_REGS = frozenset(
     [r(i) for i in range(1, 32)] + [f(i) for i in range(32)] + [ICC, FCC, Y]
 )
+
+#: ``Reg.code`` -> register, for turning a solved mask back into a set.
+_BY_CODE = {reg.code: reg for reg in (*_ALL_REGS, PC)}
+
+#: Scratch candidates in preference order: high locals/globals, the
+#: registers compilers burn last.
+_SCRATCH_CANDIDATES = tuple(r(i) for i in range(23, 0, -1))
+
+
+def _mask(regs) -> int:
+    mask = 0
+    for reg in regs:
+        mask |= 1 << reg.code
+    return mask
+
+
+_ALL_MASK = _mask(_ALL_REGS)
+
+
+def _regs(mask: int) -> frozenset[Reg]:
+    regs = []
+    while mask:
+        low = mask & -mask
+        regs.append(_BY_CODE[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(regs)
 
 
 @dataclass(frozen=True)
@@ -31,25 +57,20 @@ class BlockLiveness:
     live_out: frozenset[Reg]
 
 
-def _uses_defs(instructions: list[Instruction]) -> tuple[frozenset[Reg], frozenset[Reg]]:
-    """(use, def) for a straight-line sequence, computed in order."""
-    uses: set[Reg] = set()
-    defs: set[Reg] = set()
-    for inst in instructions:
-        for reg in inst.regs_read():
-            if reg not in defs:
-                uses.add(reg)
-        defs.update(inst.regs_written())
-    return frozenset(uses), frozenset(defs)
-
-
 class LivenessAnalysis:
-    """Fixed-point liveness over one CFG."""
+    """Fixed-point liveness over one CFG.
+
+    Register sets are solved as bitmasks over ``Reg.code`` (the masks
+    :meth:`~repro.isa.instruction.Instruction.read_mask` and
+    :meth:`~repro.isa.instruction.Instruction.write_mask` give); the
+    queries turn them back into frozensets of registers."""
 
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
-        self._use: dict[int, frozenset[Reg]] = {}
-        self._def: dict[int, frozenset[Reg]] = {}
+        #: per block: the registers it reads or writes anywhere.
+        self._touched: dict[int, int] = {}
+        self._in: dict[int, int] = {}
+        self._out: dict[int, int] = {}
         self._result: dict[int, BlockLiveness] = {}
         self._solve()
 
@@ -58,59 +79,68 @@ class LivenessAnalysis:
         # including annulled slots: treating their uses as uses is safe).
         return block.instructions()
 
-    def _boundary(self, block: BasicBlock) -> frozenset[Reg]:
+    def _boundary(self, block: BasicBlock) -> int:
         term = block.terminator
         if term is None:
-            return frozenset()
+            return 0
         # Returns and indirect jumps leave the CFG: assume all live.
         if term.category is Category.JMPL:
-            return _ALL_REGS
+            return _ALL_MASK
         # A call's callee may use anything the caller set up.
         if term.category is Category.CALL:
-            return _ALL_REGS
+            return _ALL_MASK
         if not block.succs:
-            return _ALL_REGS
-        return frozenset()
+            return _ALL_MASK
+        return 0
 
     def _solve(self) -> None:
-        for block in self.cfg:
-            use, defs = _uses_defs(self._block_sequence(block))
-            self._use[block.index] = use
-            self._def[block.index] = defs
+        # Per block, in solving order: (index, boundary, successors,
+        # use = read before any write in the block, ~def).
+        blocks = []
+        for block in reversed(self.cfg.blocks):
+            use = defs = reads = 0
+            for inst in self._block_sequence(block):
+                read = inst.read_mask()
+                use |= read & ~defs
+                reads |= read
+                defs |= inst.write_mask()
+            self._touched[block.index] = reads | defs
+            succs = [succ.index for succ in self.cfg.successors(block)]
+            blocks.append((block.index, self._boundary(block), succs, use, ~defs))
 
-        live_in: dict[int, frozenset[Reg]] = {b.index: frozenset() for b in self.cfg}
-        live_out: dict[int, frozenset[Reg]] = {b.index: frozenset() for b in self.cfg}
-
+        live_in = {b.index: 0 for b in self.cfg}
+        live_out = {b.index: 0 for b in self.cfg}
         changed = True
         while changed:
             changed = False
-            for block in reversed(self.cfg.blocks):
-                out: set[Reg] = set(self._boundary(block))
-                for succ in self.cfg.successors(block):
-                    out |= live_in[succ.index]
-                new_out = frozenset(out)
-                new_in = frozenset(
-                    self._use[block.index] | (new_out - self._def[block.index])
-                )
-                if new_out != live_out[block.index] or new_in != live_in[block.index]:
+            for index, out, succs, use, kept in blocks:
+                for succ in succs:
+                    out |= live_in[succ]
+                new_in = use | (out & kept)
+                if out != live_out[index] or new_in != live_in[index]:
                     changed = True
-                    live_out[block.index] = new_out
-                    live_in[block.index] = new_in
-
-        for block in self.cfg:
-            self._result[block.index] = BlockLiveness(
-                live_in=live_in[block.index], live_out=live_out[block.index]
-            )
+                    live_out[index] = out
+                    live_in[index] = new_in
+        self._in = live_in
+        self._out = live_out
 
     # -- queries -----------------------------------------------------------
 
-    def live_in(self, block: BasicBlock | int) -> frozenset[Reg]:
+    def _liveness(self, block: BasicBlock | int) -> BlockLiveness:
         index = block if isinstance(block, int) else block.index
-        return self._result[index].live_in
+        try:
+            return self._result[index]
+        except KeyError:
+            result = self._result[index] = BlockLiveness(
+                live_in=_regs(self._in[index]), live_out=_regs(self._out[index])
+            )
+            return result
+
+    def live_in(self, block: BasicBlock | int) -> frozenset[Reg]:
+        return self._liveness(block).live_in
 
     def live_out(self, block: BasicBlock | int) -> frozenset[Reg]:
-        index = block if isinstance(block, int) else block.index
-        return self._result[index].live_out
+        return self._liveness(block).live_out
 
     def dead_integer_registers(
         self, block: BasicBlock | int, *, count: int, avoid: frozenset[Reg] = frozenset()
@@ -122,15 +152,10 @@ class LivenessAnalysis:
         registers busy (callers fall back to reserved registers).
         """
         index = block if isinstance(block, int) else block.index
-        blk = self.cfg.blocks[index]
-        busy = set(self.live_in(index)) | set(avoid)
-        for inst in blk.instructions():
-            busy |= inst.regs_read() | inst.regs_written()
+        busy = self._in[index] | self._touched[index] | _mask(avoid)
         found: list[Reg] = []
-        # Prefer high locals/globals, the registers compilers burn last.
-        candidates = [r(i) for i in range(23, 0, -1)]
-        for reg in candidates:
-            if reg.kind is RegKind.INT and reg not in busy:
+        for reg in _SCRATCH_CANDIDATES:
+            if not busy >> reg.code & 1:
                 found.append(reg)
                 if len(found) == count:
                     break

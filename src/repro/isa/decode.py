@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .instruction import Instruction
 from .opcodes import BICC_CONDS, FBFCC_CONDS, Format, Slot, lookup
-from .registers import Reg, RegKind
+from .registers import Reg, f, r
 
 _BICC_BY_COND = {cond: name for name, cond in BICC_CONDS.items()}
 _FBFCC_BY_COND = {cond: name for name, cond in FBFCC_CONDS.items()}
@@ -47,7 +47,7 @@ def _sign_extend(value: int, bits: int) -> int:
 
 
 def _reg(kind: str, num: int) -> Reg:
-    return Reg(RegKind.FP if kind == "f" else RegKind.INT, num)
+    return f(num) if kind == "f" else r(num)
 
 
 def _check_unused(word: int, field: str, value: int, used: bool) -> None:
@@ -130,7 +130,7 @@ def _decode_format2(word: int, seq: int) -> Instruction:
         imm22 = word & 0x3FFFFF
         if rd == 0 and imm22 == 0:
             return Instruction("nop", imm=0, seq=seq)
-        return Instruction("sethi", rd=Reg(RegKind.INT, rd), imm=imm22, seq=seq)
+        return Instruction("sethi", rd=r(rd), imm=imm22, seq=seq)
     if op2 in (0b010, 0b110):  # bicc / fbfcc
         annul = bool((word >> 29) & 1)
         cond = (word >> 25) & 0xF

@@ -17,11 +17,10 @@ paper's scheduler relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Iterator
+from dataclasses import dataclass, fields
 
-from .opcodes import Category, Format, OpcodeInfo, Slot, lookup
-from .registers import FCC, ICC, O7, PC, Reg, RegKind, Y, reg_code
+from .opcodes import Category, Format, OpcodeInfo, Slot, all_mnemonics, lookup
+from .registers import FCC, ICC, O7, PC, Reg, RegKind, Y, f
 
 #: Provenance tags.
 TAG_ORIGINAL = "orig"
@@ -53,15 +52,13 @@ class Instruction:
         object.__setattr__(self, "_info", info)
         if self.rs2 is not None and self.imm is not None:
             raise ValueError(f"{self.mnemonic}: both rs2 and imm given")
-        if self.rs2 is None and self.imm is None and self.target is None:
-            # Canonical zero-immediate form, so encode/decode round-trips
-            # (the hardware has no "absent" rs2 field).
-            if info.operand_kinds.get(Slot.RS2) == "r" or info.fmt in (
-                Format.CALL,
-                Format.SETHI,
-                Format.BRANCH,
-            ):
-                object.__setattr__(self, "imm", 0)
+        if (
+            self.rs2 is None
+            and self.imm is None
+            and self.target is None
+            and _PLANS[self.mnemonic].zero_imm
+        ):
+            object.__setattr__(self, "imm", 0)
         for slot, reg in ((Slot.RD, self.rd), (Slot.RS1, self.rs1), (Slot.RS2, self.rs2)):
             if reg is None:
                 continue
@@ -122,28 +119,19 @@ class Instruction:
 
     # -- effects -----------------------------------------------------------
 
-    def _slot_regs(self, slots: frozenset[Slot]) -> Iterator[Reg]:
-        info = self.info
-        for slot in slots:
-            if slot is Slot.ICC:
-                yield ICC
-            elif slot is Slot.FCC:
-                yield FCC
-            elif slot is Slot.Y:
-                yield Y
-            elif slot is Slot.PC:
-                yield PC
-            elif slot is Slot.O7:
-                yield O7
-            else:
-                reg = {Slot.RD: self.rd, Slot.RS1: self.rs1, Slot.RS2: self.rs2}[slot]
-                if reg is None:
-                    continue
-                if reg.kind is RegKind.FP and info.fp_width == 2:
-                    yield reg
-                    yield Reg(RegKind.FP, reg.index + 1)
-                else:
-                    yield reg
+    def _operand_regs(self, names: tuple[str, ...], pair: bool) -> list[Reg]:
+        """The registers the operand fields ``names`` name, %g0 excluded;
+        with ``pair``, an fp operand names ``reg`` and ``reg+1``."""
+        state = self.__dict__
+        regs = []
+        for name in names:
+            reg = state[name]
+            if reg is None or not reg.code:  # code 0 is %g0
+                continue
+            regs.append(reg)
+            if pair and reg.kind is RegKind.FP:
+                regs.append(f(reg.index + 1))
+        return regs
 
     def regs_read(self) -> frozenset[Reg]:
         """Registers this instruction reads, %g0 excluded.
@@ -154,8 +142,9 @@ class Instruction:
         try:
             return self._regs_read
         except AttributeError:
+            plan = _PLANS[self.mnemonic]
             regs = frozenset(
-                x for x in self._slot_regs(self.info.reads) if not x.is_zero
+                (*self._operand_regs(plan.read_fields, plan.pair), *plan.fixed_reads)
             )
             object.__setattr__(self, "_regs_read", regs)
             return regs
@@ -166,8 +155,9 @@ class Instruction:
         try:
             return self._regs_written
         except AttributeError:
+            plan = _PLANS[self.mnemonic]
             regs = frozenset(
-                x for x in self._slot_regs(self.info.writes) if not x.is_zero
+                (*self._operand_regs(plan.write_fields, plan.pair), *plan.fixed_writes)
             )
             object.__setattr__(self, "_regs_written", regs)
             return regs
@@ -179,9 +169,10 @@ class Instruction:
         try:
             return self._read_mask
         except AttributeError:
-            mask = 0
-            for reg in self.regs_read():
-                mask |= 1 << reg_code(reg)
+            plan = _PLANS[self.mnemonic]
+            mask = plan.fixed_read_mask
+            for reg in self._operand_regs(plan.read_fields, plan.pair):
+                mask |= 1 << reg.code
             object.__setattr__(self, "_read_mask", mask)
             return mask
 
@@ -190,9 +181,10 @@ class Instruction:
         try:
             return self._write_mask
         except AttributeError:
-            mask = 0
-            for reg in self.regs_written():
-                mask |= 1 << reg_code(reg)
+            plan = _PLANS[self.mnemonic]
+            mask = plan.fixed_write_mask
+            for reg in self._operand_regs(plan.write_fields, plan.pair):
+                mask |= 1 << reg.code
             object.__setattr__(self, "_write_mask", mask)
             return mask
 
@@ -220,15 +212,83 @@ class Instruction:
         return self._derived("seq", seq)
 
     def with_target(self, target: str | None, imm: int | None = None) -> "Instruction":
-        return replace(self, target=target, imm=imm)
+        """A copy with a new symbolic target and immediate, built like
+        :meth:`with_seq` and equal to ``dataclasses.replace(self,
+        target=target, imm=imm)``, zero-immediate rule included."""
+        if imm is not None and self.rs2 is not None:
+            raise ValueError(f"{self.mnemonic}: both rs2 and imm given")
+        if imm is None and target is None and self.rs2 is None:
+            if _PLANS[self.mnemonic].zero_imm:
+                imm = 0
+        clone = self._derived("target", target)
+        clone.__dict__["imm"] = imm
+        return clone
 
     def __str__(self) -> str:
-        return format_instruction(self)
+        """:func:`format_instruction`, rendered once per instance: the
+        verification gates compare instructions by their text, and
+        every gate renders the same instructions."""
+        try:
+            return self._text
+        except AttributeError:
+            text = format_instruction(self)
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 #: Field names in declaration order: the order ``__init__`` stores them
 #: in, which a derived copy keeps so it pickles like a replaced one.
-_FIELD_NAMES = tuple(f.name for f in fields(Instruction))
+_FIELD_NAMES = tuple(field.name for field in fields(Instruction))
+
+_FIXED_REGS = {Slot.ICC: ICC, Slot.FCC: FCC, Slot.Y: Y, Slot.PC: PC, Slot.O7: O7}
+_OPERAND_FIELDS = {Slot.RD: "rd", Slot.RS1: "rs1", Slot.RS2: "rs2"}
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What every instruction of one mnemonic derives alike, worked out
+    once from its :class:`OpcodeInfo`: the fixed resources it reads and
+    writes (as registers and as ``Reg.code`` masks), the operand fields
+    it reads and writes, whether an fp operand names a register pair,
+    and whether an absent ``rs2``/``imm``/``target`` means ``imm=0``."""
+
+    fixed_reads: tuple[Reg, ...]
+    fixed_writes: tuple[Reg, ...]
+    fixed_read_mask: int
+    fixed_write_mask: int
+    read_fields: tuple[str, ...]
+    write_fields: tuple[str, ...]
+    pair: bool
+    zero_imm: bool
+
+
+def _plan(info: OpcodeInfo) -> _Plan:
+    def fixed(slots: frozenset[Slot]) -> tuple[Reg, ...]:
+        return tuple(_FIXED_REGS[slot] for slot in slots if slot in _FIXED_REGS)
+
+    def operand_fields(slots: frozenset[Slot]) -> tuple[str, ...]:
+        return tuple(
+            _OPERAND_FIELDS[slot] for slot in slots if slot in _OPERAND_FIELDS
+        )
+
+    reads, writes = fixed(info.reads), fixed(info.writes)
+    return _Plan(
+        fixed_reads=reads,
+        fixed_writes=writes,
+        fixed_read_mask=sum(1 << reg.code for reg in reads),
+        fixed_write_mask=sum(1 << reg.code for reg in writes),
+        read_fields=operand_fields(info.reads),
+        write_fields=operand_fields(info.writes),
+        pair=info.fp_width == 2,
+        # Canonical zero-immediate form, so encode/decode round-trips
+        # (the hardware has no "absent" rs2 field).
+        zero_imm=info.operand_kinds.get(Slot.RS2) == "r"
+        or info.fmt in (Format.CALL, Format.SETHI, Format.BRANCH),
+    )
+
+
+#: Mnemonic -> its plan, for every supported mnemonic.
+_PLANS = {mnemonic: _plan(lookup(mnemonic)) for mnemonic in all_mnemonics()}
 
 
 def format_instruction(inst: Instruction) -> str:

@@ -2,8 +2,13 @@
 
 Registers are identified by :class:`Reg` values — a register *kind*
 (integer, floating point, or one of the special resources) plus an index.
-``Reg`` values are interned and hashable so they can be used directly as
-keys in dependence sets, liveness bit-vectors, and pipeline history maps.
+``Reg`` values are interned: :func:`r`, :func:`f`, the named constants
+and the decoder hand out one shared instance per architectural register,
+built at import, and a register unpickled from another process comes
+back as that instance. A ``Reg`` built by hand is a separate object that
+compares and hashes equal to the shared one. Each register also carries
+a dense integer :attr:`Reg.code`, its bit position in the register-set
+masks of the dependence analyzer and the liveness solver.
 
 The integer file follows the SPARC naming convention: ``%g0``–``%g7`` are
 ``r0``–``r7``, ``%o0``–``%o7`` are ``r8``–``r15``, ``%l0``–``%l7`` are
@@ -64,12 +69,14 @@ class Reg:
         )
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # unpickled from pre-memo state
-            value = hash((self.kind, self.index))
-            object.__setattr__(self, "_hash", value)
-            return value
+        return self._hash
+
+    def __reduce__(self):
+        # Unpickle as the shared instance: the precomputed hash is
+        # per-process (enum members hash by name, and string hashing is
+        # seeded per interpreter), so a pickled copy of ``_hash`` would
+        # not match this process's registers.
+        return _interned, (self.kind, self.index)
 
     @property
     def is_zero(self) -> bool:
@@ -109,40 +116,52 @@ _FILE_SIZES = {
 _KIND_ORDER = {kind: i for i, kind in enumerate(RegKind)}
 
 
-def reg_code(reg: Reg) -> int:
-    """The register's dense integer code (see ``_KIND_ORDER``)."""
-    try:
-        return reg.code
-    except AttributeError:  # unpickled from pre-memo state
-        code = (_KIND_ORDER[reg.kind] << 5) | reg.index
-        object.__setattr__(reg, "code", code)
-        return code
+#: The shared instances, per kind, indexed by register number.
+_SHARED = {
+    kind: tuple(Reg(kind, index) for index in range(size))
+    for kind, size in _FILE_SIZES.items()
+}
+_INT_REGS = _SHARED[RegKind.INT]
+_FP_REGS = _SHARED[RegKind.FP]
+
+
+def _interned(kind: RegKind, index: int) -> Reg:
+    """The shared instance of register ``index`` of ``kind``."""
+    if 0 <= index < _FILE_SIZES[kind]:
+        return _SHARED[kind][index]
+    return Reg(kind, index)  # raises the out-of-range ValueError
 
 
 def r(index: int) -> Reg:
-    """The integer register ``r<index>`` (0–31)."""
-    return Reg(RegKind.INT, index)
+    """The integer register ``r<index>`` (0–31); raises ``ValueError``
+    outside that range."""
+    if 0 <= index < 32:
+        return _INT_REGS[index]
+    return Reg(RegKind.INT, index)  # raises the out-of-range ValueError
 
 
 def f(index: int) -> Reg:
-    """The floating-point register ``%f<index>`` (0–31)."""
-    return Reg(RegKind.FP, index)
+    """The floating-point register ``%f<index>`` (0–31); raises
+    ``ValueError`` outside that range."""
+    if 0 <= index < 32:
+        return _FP_REGS[index]
+    return Reg(RegKind.FP, index)  # raises the out-of-range ValueError
 
 
 #: Hard-wired zero register, ``%g0``.
 G0 = r(0)
 
 #: Integer condition codes (N, Z, V, C) as one schedulable resource.
-ICC = Reg(RegKind.ICC, 0)
+ICC = _SHARED[RegKind.ICC][0]
 
 #: Floating-point condition codes.
-FCC = Reg(RegKind.FCC, 0)
+FCC = _SHARED[RegKind.FCC][0]
 
 #: The Y register used by integer multiply/divide.
-Y = Reg(RegKind.Y, 0)
+Y = _SHARED[RegKind.Y][0]
 
 #: The program counter, read by ``call`` (which saves PC into ``%o7``).
-PC = Reg(RegKind.PC, 0)
+PC = _SHARED[RegKind.PC][0]
 
 #: Global registers %g0-%g7.
 G = tuple(r(i) for i in range(8))

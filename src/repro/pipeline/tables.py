@@ -68,7 +68,7 @@ import zlib
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from ..isa.registers import Reg, RegKind, reg_code
+from ..isa.registers import Reg, RegKind
 from ..spawn.model import InstructionTiming, MachineModel, ModelError
 
 if TYPE_CHECKING:
@@ -496,7 +496,7 @@ class TableMiss(Exception):
     caller must redo the work with the full interpreted machinery."""
 
 
-#: Dense register codes (:func:`~repro.isa.registers.reg_code`) stay
+#: Dense register codes (:attr:`~repro.isa.registers.Reg.code`) stay
 #: below this bound. A lean stream keeps its register history in one
 #: flat list: the cycle each register's latest value becomes usable at
 #: ``code``, and one past the latest cycle it was read at
@@ -518,8 +518,8 @@ def _lean_record(timing: InstructionTiming) -> tuple:
     try:
         return timing._lean_record
     except AttributeError:
-        reads = [(reg_code(reg), rel) for reg, rel in timing.reads]
-        writes = [(reg_code(reg), rel) for reg, rel in timing.writes]
+        reads = [(reg.code, rel) for reg, rel in timing.reads]
+        writes = [(reg.code, rel) for reg, rel in timing.writes]
         bounds = reads + [
             bound
             for code, rel in writes
@@ -655,11 +655,11 @@ class LeanPipeline:
     def value_ready(self, reg: Reg) -> int:
         """First absolute cycle the register's current value is usable
         (0 when never written in this stream)."""
-        return self.history[reg_code(reg)]
+        return self.history[reg.code]
 
     def last_read(self, reg: Reg) -> int:
         """Last absolute cycle the register was read (-1 when never)."""
-        return self.history[_REG_CODES + reg_code(reg)] - 1
+        return self.history[_REG_CODES + reg.code] - 1
 
 
 def _cache_path(digest: str) -> str:

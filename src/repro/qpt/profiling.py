@@ -40,13 +40,13 @@ def counter_snippet(counter_address: int, addr_reg: Reg, value_reg: Reg) -> list
     """The 4-instruction slow-profiling sequence for one counter."""
     hi = synth.hi22(counter_address)
     lo = synth.lo10(counter_address)
-    seq = [
-        Instruction("sethi", rd=addr_reg, imm=hi),
-        Instruction("ld", rd=value_reg, rs1=addr_reg, imm=lo),
-        Instruction("add", rd=value_reg, rs1=value_reg, imm=1),
-        Instruction("st", rd=value_reg, rs1=addr_reg, imm=lo),
+    tag = TAG_INSTRUMENTATION
+    return [
+        Instruction("sethi", rd=addr_reg, imm=hi, tag=tag),
+        Instruction("ld", rd=value_reg, rs1=addr_reg, imm=lo, tag=tag),
+        Instruction("add", rd=value_reg, rs1=value_reg, imm=1, tag=tag),
+        Instruction("st", rd=value_reg, rs1=addr_reg, imm=lo, tag=tag),
     ]
-    return [inst.retag(TAG_INSTRUMENTATION) for inst in seq]
 
 
 @dataclass

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 from ..core.dependence import SchedulingPolicy
 from ..core.regions import split_regions
-from ..core.verify import DEFAULT_SEED
 from ..eel.cfg import build_cfg
 from ..eel.editor import Editor
 from ..eel.executable import Executable
@@ -283,7 +282,6 @@ def run_chaos_suite(
     policy: SchedulingPolicy | None = None,
     jobs: int = 2,
     shard_deadline_s: float = 5.0,
-    verify_seed: int = DEFAULT_SEED,
     only: tuple[str, ...] | None = None,
     workdir: str | None = None,
 ) -> ChaosReport:
@@ -332,7 +330,6 @@ def run_chaos_suite(
                 shard_deadline_s=deadline,
                 max_shard_retries=retries,
             ),
-            verify_seed=verify_seed,
         )
         assert isinstance(transform, ParallelScheduler)
         transform.worker_fn = worker_fn

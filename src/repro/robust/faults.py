@@ -1039,7 +1039,6 @@ def run_fault_injection(
             model,
             policy=policy,
             jobs=max(jobs, 2),
-            verify_seed=verify_seed,
             only=chaos_only,
             workdir=chaos_workdir,
         )

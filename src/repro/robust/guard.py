@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from ..analyze.ladder import prove_schedule
 from ..core.block_scheduler import BlockScheduler, SchedulerStats
 from ..core.dependence import SchedulingPolicy, build_dependence_graph
-from ..core.regions import join_regions, split_regions
+from ..core.regions import Region, join_regions, split_regions
 from ..core.verify import DEFAULT_SEED
 from ..eel.cfg import BasicBlock
 from ..errors import BudgetExceeded, ReproError, VerificationError
@@ -218,7 +218,11 @@ class GuardedBlockScheduler:
             return original, block.delay
 
         if self.cache is not None:
-            served = self._serve_from_cache(original)
+            # Each region is digested at most once per block: the
+            # lookup's digests key the insert below.
+            regions = split_regions(original)
+            digests: list[str | None] = [None] * len(regions)
+            served = self._serve_from_cache(regions, digests)
             if served is not None:
                 # Every region of this block was proven on an earlier
                 # insert; replay the permutations and emit exactly as a
@@ -286,7 +290,7 @@ class GuardedBlockScheduler:
         # Proven safe: emit, refilling the delay slot exactly as the
         # unguarded scheduler would.
         if self.cache is not None:
-            self._insert_verified(scheduled)
+            self._insert_verified(scheduled, regions, digests)
         self.recorder.count(GUARD_BLOCKS_VERIFIED)
         delay = block.delay
         if self.policy.fill_delay_slots:
@@ -296,20 +300,27 @@ class GuardedBlockScheduler:
 
     # -- schedule cache ----------------------------------------------------------
 
-    def _serve_from_cache(self, original: list[Instruction]) -> list[Instruction] | None:
+    def _serve_from_cache(
+        self, regions: list[Region], digests: list[str | None]
+    ) -> list[Instruction] | None:
         """The whole block rebuilt from *verified* cache entries, or
         ``None`` if any region misses (unverified and poisoned entries
-        are invisible here — they must be re-proven, not trusted)."""
-        regions = split_regions(original)
+        are invisible here — they must be re-proven, not trusted).
+        Records each looked-up region's digest in ``digests``."""
+        # Imported locally: repro.parallel imports this module.
+        from ..parallel.fingerprint import region_digest
+
         replayed = []
-        for region in regions:
+        for index, region in enumerate(regions):
             if not region.instructions:
                 replayed.append(None)
                 continue
+            digests[index] = region_digest(region.instructions)
             entry = self.cache.lookup(
                 self._cache_context,
                 list(region.instructions),
                 require_verified=True,
+                digest=digests[index],
             )
             if entry is None:
                 return None
@@ -324,30 +335,42 @@ class GuardedBlockScheduler:
             [r.instructions if r is not None else [] for r in replayed],
         )
 
-    def _insert_verified(self, scheduled: list[Instruction]) -> None:
+    def _insert_verified(
+        self,
+        scheduled: list[Instruction],
+        regions: list[Region],
+        digests: list[str | None],
+    ) -> None:
         """Memoize the block's regions as proven — but only when the
         emitted body is exactly the join of the per-region results the
         inner scheduler recorded (a sabotaged scheduler mutates after
         the fact; its mutation was verified and refused, and its clean
-        intermediate must not be trusted by proxy either)."""
+        intermediate must not be trusted by proxy either). A region's
+        digest from the lookup (``regions``/``digests``) is reused only
+        for a region of the same instructions."""
         last = getattr(self.inner, "_last_schedule", None)
         if last is None:
             return
-        regions, results = last
+        scheduled_regions, results = last
         rejoined = join_regions(
-            regions,
+            scheduled_regions,
             [r.instructions if r is not None else [] for r in results],
         )
         if rejoined != scheduled:
             return
-        for region, result in zip(regions, results):
-            if result is not None:
-                self.cache.insert(
-                    self._cache_context,
-                    list(region.instructions),
-                    result,
-                    verified=True,
-                )
+        for index, (region, result) in enumerate(zip(scheduled_regions, results)):
+            if result is None:
+                continue
+            digest = None
+            if index < len(regions) and regions[index].instructions == region.instructions:
+                digest = digests[index]
+            self.cache.insert(
+                self._cache_context,
+                list(region.instructions),
+                result,
+                verified=True,
+                digest=digest,
+            )
 
     # -- internals ---------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..isa.instruction import Instruction
-from ..isa.registers import FCC, ICC, Reg, RegKind, Y
+from ..isa.registers import FCC, ICC, Reg, Y, f, r
 from ..sadl.ast_nodes import Description
 from ..sadl.evaluator import DescriptionEvaluator
 from ..sadl.trace import RegAccess, Trace
@@ -191,9 +191,9 @@ class MachineModel:
 
 def _file_registers(file: str, number: int, width: int) -> list[Reg]:
     if file == "R":
-        return [Reg(RegKind.INT, number + k) for k in range(width)]
+        return [r(number + k) for k in range(width)]
     if file == "F":
-        return [Reg(RegKind.FP, number + k) for k in range(width)]
+        return [f(number + k) for k in range(width)]
     if file == "CC":
         return [ICC if number == 0 else FCC]
     if file == "YR":

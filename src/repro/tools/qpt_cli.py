@@ -437,48 +437,53 @@ def _lint_model(args):
 
 
 def cmd_verify(args) -> int:
-    """Schedule every block and climb the guard's verification ladder
+    """Instrument the image as ``qpt instrument`` does, schedule every
+    instrumented block and climb the guard's verification ladder
     (:func:`~repro.analyze.ladder.prove_schedule`) on each: static DAG
     proof → symbolic translation validation → randomized differential
     battery, with per-gate tallies and wall time read back from the
-    ladder's recorder (and optionally gated/ledgered)."""
+    ladder's recorder (and optionally gated/ledgered). The bodies are
+    the editor's merged ones, counter code tagged as instrumentation, as
+    a guarded build proves them: a body read back from an image has lost
+    its tags, and the DAG would decide every block."""
     import time as _time
 
     from ..analyze import prove_schedule
     from ..core.block_scheduler import BlockScheduler
-    from ..eel.cfg import build_cfg
     from ..obs.report import ANALYZE_STATIC_PASS, ANALYZE_SYMBOLIC_PASS
 
     model = _lint_model(args)
     executable = _load(args.input)
     policy = SchedulingPolicy(fill_delay_slots=args.fill_delay_slots)
     scheduler = BlockScheduler(model, policy)
-    cfg = build_cfg(executable)
     recorder = MetricsRecorder()
 
     blocks = 0
     failures: list[str] = []
-    start = _time.perf_counter()
-    for block in cfg:
-        body = list(block.body)
-        if not body:
-            continue
-        scheduled = scheduler.schedule_body(body)
-        blocks += 1
-        result, _gate = prove_schedule(
-            body,
-            scheduled,
-            policy=policy,
-            trials=args.verify_trials,
-            seed=args.verify_seed,
-            recorder=recorder,
-            symbolic=args.symbolic,
-        )
-        if not result.ok:
-            failures.append(
-                f"block {block.index} @ {block.address:#x}: "
-                + "; ".join(result.failures)
+
+    def prove_block(block, body):
+        nonlocal blocks
+        if body:
+            scheduled = scheduler.schedule_body(body)
+            blocks += 1
+            result, _gate = prove_schedule(
+                body,
+                scheduled,
+                policy=policy,
+                trials=args.verify_trials,
+                seed=args.verify_seed,
+                recorder=recorder,
+                symbolic=args.symbolic,
             )
+            if not result.ok:
+                failures.append(
+                    f"block {block.index} @ {block.address:#x}: "
+                    + "; ".join(result.failures)
+                )
+        return body, block.delay
+
+    start = _time.perf_counter()
+    SlowProfiler(executable).instrument(prove_block)
     total_wall = _time.perf_counter() - start
 
     metrics = recorder.metrics
@@ -703,7 +708,6 @@ def cmd_chaos(args) -> int:
         model,
         jobs=args.jobs,
         shard_deadline_s=args.deadline,
-        verify_seed=args.verify_seed,
         only=tuple(args.only) if args.only else None,
     )
     wall = _time.perf_counter() - start
@@ -1091,7 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=5.0, metavar="S",
                    help="per-shard wall-clock deadline in seconds — the "
                    "hang class waits it out once (default %(default)s)")
-    p.add_argument("--verify-seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--only", nargs="+", choices=CHAOS_FAULTS,
                    metavar="FAULT",
                    help="run only these fault classes "

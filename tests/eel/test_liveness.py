@@ -1,8 +1,11 @@
 """Liveness analysis tests."""
 
 from repro.isa import assemble, r
-from repro.isa.registers import ICC
+from repro.isa.opcodes import Category
+from repro.isa.registers import FCC, ICC, Y, f
 from repro.eel import Executable, LivenessAnalysis, TEXT_BASE, build_cfg
+from repro.workloads.generator import WorkloadSpec, generate
+from repro.workloads.spec95 import all_benchmarks, generate_benchmark
 
 
 def analyze(source):
@@ -208,3 +211,99 @@ def test_delay_slot_def_satisfies_successor_use():
     first = cfg.blocks[0]
     assert r(10) in live.live_out(first)
     assert r(10) not in live.live_in(first)
+
+
+# -- the mask solver against the frozenset solver it replaced ----------------------
+
+_EVERYTHING = frozenset(
+    [r(i) for i in range(1, 32)] + [f(i) for i in range(32)] + [ICC, FCC, Y]
+)
+
+
+def reference_liveness(cfg):
+    """Liveness solved over frozensets of registers, as before the
+    solver moved to bitmasks: ``({block: live_in}, {block: live_out})``."""
+    use, defs = {}, {}
+    for block in cfg:
+        uses, written = set(), set()
+        for inst in block.instructions():
+            for reg in inst.regs_read():
+                if reg not in written:
+                    uses.add(reg)
+            written.update(inst.regs_written())
+        use[block.index], defs[block.index] = frozenset(uses), frozenset(written)
+
+    def boundary(block):
+        term = block.terminator
+        if term is None:
+            return frozenset()
+        if term.category in (Category.JMPL, Category.CALL) or not block.succs:
+            return _EVERYTHING
+        return frozenset()
+
+    live_in = {b.index: frozenset() for b in cfg}
+    live_out = {b.index: frozenset() for b in cfg}
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(cfg.blocks):
+            out = set(boundary(block))
+            for succ in cfg.successors(block):
+                out |= live_in[succ.index]
+            new_out = frozenset(out)
+            new_in = frozenset(use[block.index] | (new_out - defs[block.index]))
+            if new_out != live_out[block.index] or new_in != live_in[block.index]:
+                changed = True
+                live_out[block.index] = new_out
+                live_in[block.index] = new_in
+    return live_in, live_out
+
+
+def reference_dead_integer_registers(block, live_in, *, count, avoid):
+    busy = set(live_in) | set(avoid)
+    for inst in block.instructions():
+        busy |= inst.regs_read() | inst.regs_written()
+    return [reg for reg in (r(i) for i in range(23, 0, -1)) if reg not in busy][:count]
+
+
+def catalogue_shaped(index):
+    """A catalogue-shaped image: even indexes integer small-block
+    programs, odd indexes floating-point long-block ones."""
+    if index % 2 == 0:
+        spec = WorkloadSpec(
+            name=f"int-{index}", seed=9100 + index, kind="int",
+            avg_block_size=3.0, loops=36, trip_count=8, diamond_prob=0.9,
+            call_prob=0.4, chain_density=0.55, load_fraction=0.32,
+            store_fraction=0.12,
+        )
+    else:
+        spec = WorkloadSpec(
+            name=f"fp-{index}", seed=9100 + index, kind="fp",
+            avg_block_size=24.0, loops=10, trip_count=8, diamond_prob=0.0,
+            call_prob=0.15, chain_density=0.10, load_fraction=0.65,
+            store_fraction=0.25, fp_fraction=0.42,
+        )
+    return generate(spec).executable
+
+
+def test_mask_solver_matches_the_frozenset_solver():
+    executables = [
+        generate_benchmark(name, trip_count=4).executable
+        for name in all_benchmarks()
+    ] + [catalogue_shaped(index) for index in range(16)]
+    blocks = 0
+    for executable in executables:
+        cfg = build_cfg(executable)
+        live = LivenessAnalysis(cfg)
+        live_in, live_out = reference_liveness(cfg)
+        for block in cfg:
+            assert live.live_in(block) == live_in[block.index]
+            assert live.live_out(block.index) == live_out[block.index]
+            for count, avoid in ((2, frozenset({r(6), r(7)})), (23, frozenset())):
+                assert live.dead_integer_registers(
+                    block, count=count, avoid=avoid
+                ) == reference_dead_integer_registers(
+                    block, live_in[block.index], count=count, avoid=avoid
+                )
+            blocks += 1
+    assert blocks > 2000

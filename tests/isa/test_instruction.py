@@ -151,10 +151,11 @@ def test_instruction_pickles_after_model_timing():
 
 
 def test_derived_copies_match_replace_on_every_spec95_instruction():
-    """``with_seq`` and ``retag`` skip operand re-validation; each must
-    still build exactly the copy ``dataclasses.replace`` builds — equal,
-    with the same instance state (no memo carried over) and the same
-    pickle — on every instruction of every SPEC95 stand-in."""
+    """``with_seq``, ``retag`` and ``with_target`` skip operand
+    re-validation; each must still build exactly the copy
+    ``dataclasses.replace`` builds — equal, with the same instance state
+    (no memo carried over), the same pickle, the same rendered text and
+    the same effects — on every instruction of every SPEC95 stand-in."""
     import pickle
     from dataclasses import replace
 
@@ -167,16 +168,46 @@ def test_derived_copies_match_replace_on_every_spec95_instruction():
             # Fill per-instance memos, which a copy must not inherit.
             inst.regs_read()
             inst.write_mask()
-            for derived, replaced in (
+            str(inst)
+            pairs = [
                 (inst.with_seq(inst.seq + 7), replace(inst, seq=inst.seq + 7)),
                 (
                     inst.retag(TAG_INSTRUMENTATION),
                     replace(inst, tag=TAG_INSTRUMENTATION),
                 ),
-            ):
+                # A symbolic target, and none at all (the zero-immediate
+                # rule fills ``imm`` where the format needs one).
+                (inst.with_target("there"), replace(inst, target="there", imm=None)),
+                (inst.with_target(None), replace(inst, target=None, imm=None)),
+            ]
+            if inst.rs2 is None:
+                pairs.append(
+                    (inst.with_target(None, 12), replace(inst, target=None, imm=12))
+                )
+            else:
+                with pytest.raises(ValueError, match="both rs2 and imm given"):
+                    replace(inst, target=None, imm=12)
+                with pytest.raises(ValueError, match="both rs2 and imm given"):
+                    inst.with_target(None, 12)
+            for derived, replaced in pairs:
                 assert derived == replaced
                 assert derived.__dict__ == replaced.__dict__
                 assert list(derived.__dict__) == list(replaced.__dict__)
                 assert pickle.dumps(derived) == pickle.dumps(replaced)
+                assert str(derived) == str(replaced)
+                assert derived.regs_read() == replaced.regs_read()
+                assert derived.regs_written() == replaced.regs_written()
+                assert derived.read_mask() == replaced.read_mask()
+                assert derived.write_mask() == replaced.write_mask()
             checked += 1
     assert checked > 1000
+
+
+def test_text_is_rendered_once_and_equals_a_fresh_rendering():
+    from repro.isa.instruction import format_instruction
+
+    inst = Instruction("ld", rd=r(10), rs1=r(9), imm=8)
+    text = str(inst)
+    assert text == format_instruction(inst) == "ld [%o1 + 8], %o2"
+    assert str(inst) is text
+    assert "_text" not in inst.with_seq(3).__dict__

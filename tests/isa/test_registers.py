@@ -1,5 +1,10 @@
 """Unit tests for the SPARC register model."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.isa.registers import (
@@ -47,6 +52,66 @@ def test_index_bounds():
         f(-1)
     with pytest.raises(ValueError):
         Reg(RegKind.ICC, 1)
+
+
+@pytest.mark.parametrize("build", (lambda: r(32), lambda: r(-1), lambda: f(32)))
+def test_out_of_range_never_wraps_into_the_shared_table(build):
+    with pytest.raises(ValueError, match="out of range"):
+        build()
+
+
+def test_registers_are_shared_instances():
+    for index in range(32):
+        assert r(index) is r(index)
+        assert f(index) is f(index)
+    assert parse_reg("%o7") is r(15) is O7
+    assert parse_reg("%f3") is f(3)
+
+
+def test_decoded_operands_are_the_shared_instances():
+    from repro.workloads.spec95 import all_benchmarks, generate_benchmark
+
+    operands = 0
+    for name in all_benchmarks():
+        text = generate_benchmark(name, trip_count=4).executable.decode_text()
+        for _address, inst in text:
+            for reg in (inst.rd, inst.rs1, inst.rs2):
+                if reg is not None:
+                    shared = f(reg.index) if reg.kind is RegKind.FP else r(reg.index)
+                    assert reg is shared
+                    operands += 1
+    assert operands > 1000
+
+
+def test_hand_built_and_unpickled_registers_equal_the_shared_instance():
+    hand = Reg(RegKind.INT, 5)
+    assert hand is not r(5)
+    assert hand == r(5) and hash(hand) == hash(r(5)) and hand in {r(5)}
+    assert pickle.loads(pickle.dumps(hand)) is r(5)
+    assert pickle.loads(pickle.dumps(ICC)) is ICC
+
+
+def test_registers_pickled_under_another_hash_seed_hash_equal():
+    # Enum members hash by name and string hashing is seeded per
+    # interpreter, so a worker's registers must not carry its hashes.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    payload = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import pickle, sys\n"
+            "from repro.isa.registers import ICC, f, r\n"
+            "sys.stdout.buffer.write(pickle.dumps([r(5), f(3), ICC]))",
+        ],
+        env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    loaded = pickle.loads(payload)
+    assert loaded == [r(5), f(3), ICC]
+    assert [hash(reg) for reg in loaded] == [hash(r(5)), hash(f(3)), hash(ICC)]
+    assert set(loaded) == {r(5), f(3), ICC}
 
 
 @pytest.mark.parametrize(

@@ -146,3 +146,31 @@ def test_profiler_surfaces_quarantine(executable):
     profiled = SlowProfiler(executable).instrument(guard)
     assert profiled.quarantine == tuple(guard.quarantine)
     assert profiled.quarantine  # the sabotage was visible to the tool
+
+
+def test_cached_guard_digests_each_region_once(monkeypatch):
+    """With a schedule cache, the guard canonicalizes each region it
+    looks up once: the lookup's digest keys the verified insert."""
+    import repro.parallel.cache as cache_module
+    import repro.parallel.fingerprint as fingerprint
+    from repro.parallel import ScheduleCache
+    from repro.workloads.spec95 import generate_benchmark
+
+    digests = []
+    real = fingerprint.region_digest
+
+    def counting(region):
+        digests.append(len(region))
+        return real(region)
+
+    monkeypatch.setattr(fingerprint, "region_digest", counting)
+    monkeypatch.setattr(cache_module, "region_digest", counting)
+    executable = generate_benchmark("126.gcc", trip_count=4).executable
+    cache = ScheduleCache()
+    guarded = SlowProfiler(executable).instrument(
+        GuardedBlockScheduler(MACHINE, cache=cache)
+    )
+    assert cache.inserts > 0 and cache.hits > 0
+    assert len(digests) == cache.hits + cache.misses
+    plain = SlowProfiler(executable).instrument(BlockScheduler(MACHINE))
+    assert guarded.executable.to_bytes() == plain.executable.to_bytes()

@@ -641,6 +641,32 @@ def test_verify_no_symbolic_still_verifies(program, capsys):
     assert payload["symbolic_proven"] == 0
 
 
+def test_verify_climbs_the_ladder_of_an_instrumented_build(tmp_path, capsys):
+    """``qpt verify`` proves the bodies a guarded ``qpt instrument``
+    build proves, counter code included: on a catalogue-shaped integer
+    image, counters reordered across original memory reach the symbolic
+    gate (read back from the image, with tags lost, every body stopped
+    at the static gate)."""
+    from repro.workloads.generator import WorkloadSpec, generate
+
+    spec = WorkloadSpec(
+        name="int-000", seed=7000, kind="int", avg_block_size=3.0, loops=36,
+        trip_count=8, diamond_prob=0.9, call_prob=0.4, chain_density=0.55,
+        load_fraction=0.32, store_fraction=0.12,
+    )
+    path = tmp_path / "int-000.rxe"
+    path.write_bytes(generate(spec).executable.to_bytes())
+    argv = ["verify", str(path), "--machine", "ultrasparc",
+            "--fill-delay-slots", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["refuted"] == 0
+    assert payload["symbolic_proven"] > 0
+    assert payload["static_proven"] + payload["symbolic_proven"] + payload[
+        "dynamic_verified"
+    ] == payload["blocks"]
+
+
 def test_verify_min_proven_gate_fails(program, capsys):
     path, _ = program
     assert main(["verify", str(path), "--min-proven", "1.01"]) == 1
