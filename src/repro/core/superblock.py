@@ -209,7 +209,10 @@ class SuperblockPlan:
     bodies: list[list[Instruction]]
     #: taken edge -> compensation copies for boundaries that sank code.
     compensation: dict[Edge, list[Instruction]]
-    results: list[ScheduleResult | None] = field(repr=False, default_factory=list)
+    #: (original, scheduled) cycles per member block, None for an
+    #: empty body: the build's accounting, kept with the plan so that a
+    #: plan served from the cache reports what the fresh plan did.
+    cycles: list[tuple[int, int] | None] = field(default_factory=list)
     moves: int = 0
     copies: int = 0
     local_cost: int = 0
@@ -726,7 +729,10 @@ class SuperblockScheduler:
                 for i in range(n - 1)
                 if comp_edges[i] is not None and sink_sets[i]
             },
-            results=results,
+            cycles=[
+                None if r is None else (r.original_cycles, r.scheduled_cycles)
+                for r in results
+            ],
             moves=sum(len(s) for s in sink_sets) + sum(len(h) for h in hoist_sets),
             copies=sum(
                 len(sink_sets[i]) for i in range(n - 1) if comp_edges[i] is not None
@@ -1015,11 +1021,12 @@ class SuperblockScheduler:
         if self.guarded:
             for _ in plan.superblock.blocks:
                 rec.count(GUARD_BLOCKS_VERIFIED)
-        for index, result in zip(plan.superblock.blocks, plan.results):
-            if result is not None:
-                self._stats.merge(result)
-            else:
-                self._stats.blocks += 1
+        for body, cycles in zip(plan.bodies, plan.cycles):
+            self._stats.blocks += 1
+            if cycles is not None:
+                self._stats.instructions += len(body)
+                self._stats.original_cycles += cycles[0]
+                self._stats.scheduled_cycles += cycles[1]
         if rec.enabled:
             self._replay_attribution(cfg, plan)
 

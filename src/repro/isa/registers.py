@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import total_ordering
 
 
 class RegKind(enum.Enum):
@@ -42,12 +43,14 @@ class RegKind(enum.Enum):
         return f"RegKind.{self.name}"
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class Reg:
     """A single architectural register: a kind plus an index.
 
     The special resources (``icc``, ``fcc``, ``y``, ``pc``) always use
-    index 0.
+    index 0. Registers order by :attr:`code` (kind order, then index),
+    so a set that mixes kinds sorts too.
     """
 
     kind: RegKind
@@ -70,6 +73,11 @@ class Reg:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: "Reg") -> bool:
+        if not isinstance(other, Reg):
+            return NotImplemented
+        return self.code < other.code
 
     def __reduce__(self):
         # Unpickle as the shared instance: the precomputed hash is

@@ -110,13 +110,15 @@ POOL_SPAWNS = "pool.spawns"
 POOL_REUSES = "pool.reuses"
 POOL_RETIRES = "pool.retires"
 
-#: Scheduling daemon (``repro.serve``): requests admitted, requests
+#: Scheduling daemon (``repro.serve``): requests answered, requests
 #: refused by admission control, batches executed through the shared
-#: service, and requests that failed with an error response.
+#: service, requests that failed with an error response, and requests
+#: answered from the result memo without a build.
 SERVE_REQUESTS = "serve.requests"
 SERVE_REJECTED = "serve.rejected"
 SERVE_BATCHES = "serve.batches"
 SERVE_ERRORS = "serve.errors"
+SERVE_MEMO_HITS = "serve.memo_hits"
 
 #: Static pre-verifier (``repro.analyze``): blocks proven legal from the
 #: dependence DAG alone (differential execution skipped) vs. escalated
@@ -410,6 +412,7 @@ SUMMARY_COUNTERS = {
     "serve_rejected": SERVE_REJECTED,
     "serve_batches": SERVE_BATCHES,
     "serve_errors": SERVE_ERRORS,
+    "serve_memo_hits": SERVE_MEMO_HITS,
     "analyze_static_pass": ANALYZE_STATIC_PASS,
     "analyze_static_escalated": ANALYZE_STATIC_ESCALATED,
     "analyze_symbolic_pass": ANALYZE_SYMBOLIC_PASS,
@@ -474,6 +477,12 @@ def render_stats(metrics: MetricsRegistry) -> str:
     analyze = analyze_table(metrics)
     if analyze:
         sections.append(analyze)
+    served = int(metrics.counter_total(SERVE_REQUESTS))
+    if served:
+        memo_hits = int(metrics.counter_total(SERVE_MEMO_HITS))
+        sections.append(
+            f"serve: {served} requests answered, {memo_hits} from the result memo"
+        )
     sections.append(phase_timing_table(metrics))
     issues = int(metrics.counter_total(ISSUES))
     if issues:

@@ -129,6 +129,8 @@ class CachedSuperblockPlan:
     local_cost: int
     superblock_cost: int
     verified: bool
+    #: the plan's per-block (original, scheduled) cycles, or None.
+    cycles: tuple[tuple[int, int] | None, ...]
 
     def _to_plan(self, superblock, cfg):
         from ..core.superblock import SuperblockPlan  # lazy: core is upstream
@@ -142,7 +144,7 @@ class CachedSuperblockPlan:
             superblock=superblock,
             bodies=[list(body) for body in self.bodies],
             compensation=compensation,
-            results=[None] * len(self.bodies),
+            cycles=list(self.cycles),
             moves=self.moves,
             copies=self.copies,
             local_cost=self.local_cost,
@@ -355,6 +357,7 @@ class ScheduleCache:
             local_cost=plan.local_cost,
             superblock_cost=plan.superblock_cost,
             verified=verified,
+            cycles=tuple(plan.cycles),
         )
         self._superblocks[key] = entry
         self._superblocks.move_to_end(key)

@@ -10,6 +10,11 @@ one-shot CLI rebuilds from scratch on every invocation:
   ``qpt instrument`` run);
 * the **persistent worker pool** (:mod:`repro.parallel.pool`), spawned
   on first use and reused by every request;
+* a **result memo** of whole answers, keyed by the whole request
+  (kind, machine, payload digest, policy digest, model digest and the
+  ``safe``/``superblock``/``return_executable`` options): the schedule
+  is a pure function of those, so an exact repeat is answered from the
+  memo, outside the build lock, without decoding its image;
 * a **cross-request schedule cache** per (machine, policy) context —
   the verified tier: entries proven by a ``safe``/``verify`` job are
   upgraded in place and replayed by later requests without re-proving.
@@ -18,13 +23,15 @@ Admission control is two-layered. The cheap layer bounds the queue:
 batches above :attr:`ServiceConfig.max_batch_jobs` jobs or arriving
 while :attr:`ServiceConfig.max_pending` batches are already waiting
 are refused outright (``serve.rejected``) — a refused request costs
-microseconds, an admitted one costs a build. The deep layer is the
+microseconds, an admitted one costs a build. A batch whose every job
+the memo answers takes no pending slot. The deep layer is the
 existing :class:`~repro.robust.guard.GuardBudget`: guarded jobs carry
 the service's budget, so oversized blocks and deadline overruns
 degrade to the original code instead of wedging the daemon.
 
-Each request runs under the service recorder (span ``serve.request``)
-and lands in a bounded latency ring; :meth:`SchedulingService.stats`
+Each build runs under the service recorder (span ``serve.request``);
+every answered request, memo hit or build, lands in a bounded latency
+ring; :meth:`SchedulingService.stats`
 summarizes throughput and p50/p95/p99 latency, and
 :meth:`SchedulingService.flush_ledger` appends one ``kind="serve"``
 record the benchmarks gate (``qpt benchmarks gate``) tracks alongside
@@ -34,10 +41,12 @@ every other measured run.
 from __future__ import annotations
 
 import base64
+import bisect
 import hashlib
+import json
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from ..core.dependence import SchedulingPolicy
@@ -48,11 +57,13 @@ from ..obs.recorder import MetricsRecorder, Recorder
 from ..obs.report import (
     SERVE_BATCHES,
     SERVE_ERRORS,
+    SERVE_MEMO_HITS,
     SERVE_REJECTED,
     SERVE_REQUESTS,
 )
 from ..parallel.cache import ScheduleCache
 from ..parallel.executor import ParallelOptions, make_transform
+from ..parallel.fingerprint import model_digest, policy_digest
 from ..parallel.pool import pool_stats
 from ..qpt.profiling import SlowProfiler
 from ..robust.guard import GuardBudget
@@ -98,11 +109,40 @@ class ServiceConfig:
 #: long-lived daemon reports current behavior, not its own history.
 LATENCY_RING = 4096
 
+#: Answers kept by the result memo; the least recently used goes first.
+#: An entry is one answer without its ``id`` and ``wall_ms``: a digest
+#: and a few counters, plus the base64 image (4/3 of its bytes) when the
+#: request set ``return_executable``. The worst case is therefore this
+#: many of the largest images served, times 4/3.
+RESULT_MEMO_ENTRIES = 1024
+
 
 def _percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile of an already-sorted non-empty list."""
     rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
     return sorted_values[rank]
+
+
+def _policy(job: ServeJob) -> SchedulingPolicy:
+    return SchedulingPolicy(fill_delay_slots=job.fill_delay_slots)
+
+
+def _unshared(result: dict) -> dict:
+    """A copy of ``result`` that shares no mutable part with it, as a
+    memo answer reports it: no region looked up."""
+    copy = {**result, "stats": {**result["stats"], "cache_hits": 0, "cache_misses": 0}}
+    if "quarantine" in result:
+        copy["quarantine"] = list(result["quarantine"])
+    return copy
+
+
+def _payload_digest(job: ServeJob) -> str:
+    """sha256 of the job's image, or of its workload spec's canonical
+    JSON under a prefix of its own; nothing is generated."""
+    if job.executable is not None:
+        return "rxe:" + hashlib.sha256(job.executable).hexdigest()
+    spec = json.dumps(job.workload, sort_keys=True).encode()
+    return "spec:" + hashlib.sha256(spec).hexdigest()
 
 
 class SchedulingService:
@@ -115,19 +155,30 @@ class SchedulingService:
         self.config = config or ServiceConfig()
         self.recorder = recorder if recorder is not None else MetricsRecorder()
         self._models: dict[str, object] = {}
+        #: machine -> ``model_digest`` of its hot model, taken once.
+        self._model_digests: dict[str, str] = {}
         self._caches: dict[tuple[str, bool], ScheduleCache] = {}
+        #: request key -> stored answer, least recently used first.
+        self._memo: OrderedDict[tuple, dict] = OrderedDict()
         #: one build at a time: builds share the worker pool and the
         #: schedule caches, and a single in-flight build keeps latency
         #: attribution exact. Admission bounds the queue behind it.
+        #: Memo hits never take it.
         self._build_lock = threading.Lock()
+        #: guards every total below, the memo, the latency ring and
+        #: every ``serve.*`` count.
         self._state_lock = threading.Lock()
         self._pending = 0
         self._latencies_ms: deque[float] = deque(maxlen=LATENCY_RING)
+        #: the ring's values, kept sorted in step with it.
+        self._latencies_sorted: list[float] = []
         self._started = time.monotonic()
         self.requests = 0
         self.batches = 0
         self.rejected = 0
         self.errors = 0
+        self.memo_hits = 0
+        self.builds = 0
 
     # -- resources ---------------------------------------------------------------
 
@@ -142,8 +193,12 @@ class SchedulingService:
         # tables compiles them here rather than in the first request.
         model = load_machine(machine)
         model.tables
+        digest = model_digest(model)
         with self._state_lock:
-            return self._models.setdefault(machine, model)
+            if machine not in self._models:
+                self._models[machine] = model
+                self._model_digests[machine] = digest
+            return self._models[machine]
 
     def cache_for(self, machine: str, fill_delay_slots: bool) -> ScheduleCache:
         """The shared cross-request cache for one (machine, policy)."""
@@ -163,51 +218,146 @@ class SchedulingService:
         """Decode, admit, and run one request envelope; never raises for
         a per-job failure (those come back as ``ok: false`` results).
 
+        A batch whose every job is an exact repeat is answered from the
+        result memo, with no pending slot and without the build lock;
+        any other batch is admitted and built, each job looked up again
+        under the lock so that equal requests arriving together build
+        once.
+
         :class:`ProtocolError` (malformed request) and
         :class:`AdmissionRefused` (overload) do raise — the daemon maps
         them to 400 and 429 respectively.
         """
         batch = decode_batch(payload)
-        self._admit(batch)
-        try:
-            with self._build_lock:
-                results = [self._run_job(job) for job in batch.jobs]
-        finally:
-            with self._state_lock:
-                self._pending -= 1
+        self._refuse_oversized(batch)
+        recalled = []
+        for job in batch.jobs:
+            start = time.perf_counter()
+            machine = job.machine or self.config.machine
+            entry = self._recall(self._memo_key(job, machine, _payload_digest(job)))
+            if entry is None:
+                break
+            recalled.append((job, machine, entry, start))
+        if len(recalled) == len(batch.jobs):
+            results = [self._replay(*hit) for hit in recalled]
+        else:
+            self._admit(batch)
+            try:
+                with self._build_lock:
+                    results = [self._run_job(job) for job in batch.jobs]
+            finally:
+                with self._state_lock:
+                    self._pending -= 1
         with self._state_lock:
             self.batches += 1
-        self.recorder.count(SERVE_BATCHES)
+            self.recorder.count(SERVE_BATCHES)
         return {
             "version": PROTOCOL_VERSION,
             "results": results,
             "service": self.stats(),
         }
 
+    def _refuse(self, batch, reason: str) -> None:
+        """Count ``batch`` as refused and raise (under ``_state_lock``)."""
+        self.rejected += len(batch.jobs)
+        self.recorder.count(SERVE_REJECTED, len(batch.jobs))
+        raise AdmissionRefused(reason)
+
+    def _refuse_oversized(self, batch) -> None:
+        limit = self.config.max_batch_jobs
+        if len(batch.jobs) > limit:
+            with self._state_lock:
+                self._refuse(
+                    batch,
+                    f"batch of {len(batch.jobs)} jobs exceeds max_batch_jobs={limit}",
+                )
+
     def _admit(self, batch) -> None:
         config = self.config
         with self._state_lock:
-            if len(batch.jobs) > config.max_batch_jobs:
-                self.rejected += len(batch.jobs)
-                self.recorder.count(SERVE_REJECTED, len(batch.jobs))
-                raise AdmissionRefused(
-                    f"batch of {len(batch.jobs)} jobs exceeds max_batch_jobs="
-                    f"{config.max_batch_jobs}"
-                )
             if self._pending >= config.max_pending:
-                self.rejected += len(batch.jobs)
-                self.recorder.count(SERVE_REJECTED, len(batch.jobs))
-                raise AdmissionRefused(
+                self._refuse(
+                    batch,
                     f"{self._pending} batches already queued "
-                    f"(max_pending={config.max_pending}); retry later"
+                    f"(max_pending={config.max_pending}); retry later",
                 )
             self._pending += 1
+
+    # -- the result memo ---------------------------------------------------------
+
+    def _memo_key(self, job: ServeJob, machine: str, payload: str) -> tuple | None:
+        """The whole request as a memo key, ``id`` and ``jobs`` left out
+        (bytes, verdicts and quarantine are equal at every ``jobs``).
+        None while ``machine`` has no hot model: a lookup never builds
+        one, and no answer for it can be stored yet."""
+        digest = self._model_digests.get(machine)
+        if digest is None:
+            return None
+        return (
+            job.kind,
+            machine,
+            payload,
+            policy_digest(_policy(job)),
+            digest,
+            job.safe,
+            job.superblock,
+            job.return_executable,
+        )
+
+    def _recall(self, key: tuple | None) -> dict | None:
+        if key is None:
+            return None
+        with self._state_lock:
+            entry = self._memo.get(key)
+            if entry is not None:
+                self._memo.move_to_end(key)
+            return entry
+
+    def _remember(self, key: tuple, result: dict) -> None:
+        with self._state_lock:
+            self._memo[key] = result
+            self._memo.move_to_end(key)
+            while len(self._memo) > RESULT_MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+
+    def _replay(self, job: ServeJob, machine: str, entry: dict, start: float) -> dict:
+        """The stored answer for this request, with its ``id`` and its
+        own ``wall_ms``."""
+        result = _unshared(entry)
+        wall_ms = (time.perf_counter() - start) * 1e3
+        with self._state_lock:
+            self.requests += 1
+            self.memo_hits += 1
+            self._record_latency(wall_ms)
+            self.recorder.count(SERVE_REQUESTS)
+            self.recorder.count(SERVE_MEMO_HITS)
+        return {
+            "id": job.id,
+            "kind": job.kind,
+            "machine": machine,
+            "ok": True,
+            "wall_ms": round(wall_ms, 3),
+            "memo": True,
+            **result,
+        }
+
+    def _record_latency(self, wall_ms: float) -> None:
+        """Append to the ring and its sorted view (under ``_state_lock``)."""
+        ring, ordered = self._latencies_ms, self._latencies_sorted
+        if len(ring) == ring.maxlen:
+            del ordered[bisect.bisect_left(ordered, ring[0])]
+        ring.append(wall_ms)
+        bisect.insort(ordered, wall_ms)
 
     # -- one job -----------------------------------------------------------------
 
     def _run_job(self, job: ServeJob) -> dict:
         start = time.perf_counter()
         machine = job.machine or self.config.machine
+        payload = _payload_digest(job)
+        entry = self._recall(self._memo_key(job, machine, payload))
+        if entry is not None:
+            return self._replay(job, machine, entry, start)
         base = {"id": job.id, "kind": job.kind, "machine": machine}
         try:
             with self.recorder.span("serve.request", kind=job.kind):
@@ -215,14 +365,25 @@ class SchedulingService:
         except ReproError as exc:
             with self._state_lock:
                 self.errors += 1
-            self.recorder.count(SERVE_ERRORS)
+                self.recorder.count(SERVE_ERRORS)
             return {**base, "ok": False, "error": str(exc)}
+        # A quarantine may stem from a wall-clock budget; replaying it
+        # would make one slow build's fallback permanent.
+        if not result["stats"].get("quarantined"):
+            self._remember(self._memo_key(job, machine, payload), _unshared(result))
         wall_ms = (time.perf_counter() - start) * 1e3
         with self._state_lock:
             self.requests += 1
-            self._latencies_ms.append(wall_ms)
-        self.recorder.count(SERVE_REQUESTS)
-        return {**base, "ok": True, "wall_ms": round(wall_ms, 3), **result}
+            self.builds += 1
+            self._record_latency(wall_ms)
+            self.recorder.count(SERVE_REQUESTS)
+        return {
+            **base,
+            "ok": True,
+            "wall_ms": round(wall_ms, 3),
+            "memo": False,
+            **result,
+        }
 
     def _executable_for(self, job: ServeJob) -> Executable:
         if job.executable is not None:
@@ -237,7 +398,7 @@ class SchedulingService:
         executable = self._executable_for(job)
         model = self.model_for(machine)
         guarded = job.safe or job.kind == "verify"
-        policy = SchedulingPolicy(fill_delay_slots=job.fill_delay_slots)
+        policy = _policy(job)
         cache = self.cache_for(machine, job.fill_delay_slots)
         hits0, misses0 = cache.hits, cache.misses
         transform = make_transform(
@@ -295,7 +456,7 @@ class SchedulingService:
     def stats(self) -> dict:
         """A JSON-ready operational summary (the ``/stats`` endpoint)."""
         with self._state_lock:
-            latencies = sorted(self._latencies_ms)
+            latencies = self._latencies_sorted
             requests = self.requests
             uptime = max(time.monotonic() - self._started, 1e-9)
             summary = {
@@ -307,13 +468,19 @@ class SchedulingService:
                 "pending": self._pending,
                 "throughput_rps": round(requests / uptime, 3),
             }
-        if latencies:
-            summary["latency_ms"] = {
-                "p50": round(_percentile(latencies, 0.50), 3),
-                "p95": round(_percentile(latencies, 0.95), 3),
-                "p99": round(_percentile(latencies, 0.99), 3),
-                "max": round(latencies[-1], 3),
+            if latencies:
+                summary["latency_ms"] = {
+                    "p50": round(_percentile(latencies, 0.50), 3),
+                    "p95": round(_percentile(latencies, 0.95), 3),
+                    "p99": round(_percentile(latencies, 0.99), 3),
+                    "max": round(latencies[-1], 3),
+                }
+            summary["memo"] = {
+                "entries": len(self._memo),
+                "hits": self.memo_hits,
+                "builds": self.builds,
             }
+            caches = sorted(self._caches.items())
         summary["caches"] = {
             f"{machine}/{'delay' if fill else 'nodelay'}": {
                 "entries": len(cache),
@@ -321,7 +488,7 @@ class SchedulingService:
                 "misses": cache.misses,
                 "hit_rate": round(cache.hit_rate, 4),
             }
-            for (machine, fill), cache in sorted(self._caches.items())
+            for (machine, fill), cache in caches
         }
         summary["pool"] = pool_stats()
         return summary
@@ -346,6 +513,7 @@ class SchedulingService:
                 "batches": stats["batches"],
                 "rejected": stats["rejected"],
                 "errors": stats["errors"],
+                "memo_hits": stats["memo"]["hits"],
                 "throughput_rps": stats["throughput_rps"],
                 **{
                     f"latency_{name}_ms": value

@@ -255,6 +255,8 @@ def test_cached_plan_reproduces_the_cold_build(ultra):
     assert cache.hits > hits_before
     assert warm.formed == cold.formed
     assert second.to_bytes() == first.to_bytes()
+    # A served plan reports the cycles its fresh plan did.
+    assert warm.stats == cold.stats
 
 
 def test_commit_threshold_is_part_of_the_cache_key(ultra):

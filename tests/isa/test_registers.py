@@ -7,12 +7,15 @@ import sys
 
 import pytest
 
+from repro.isa import Instruction, all_mnemonics, lookup
+from repro.isa.opcodes import Format, Slot
 from repro.isa.registers import (
     FCC,
     G0,
     ICC,
     O7,
     SP,
+    Y,
     Reg,
     RegKind,
     f,
@@ -147,3 +150,43 @@ def test_parse_roundtrips_names():
 def test_regs_are_hashable_and_ordered():
     assert len({r(1), r(1), r(2)}) == 2
     assert sorted([f(2), f(1)]) == [f(1), f(2)]
+
+
+def test_registers_order_by_code_across_kinds():
+    mixed = [ICC, f(3), r(2), Y, FCC, r(1), f(0)]
+    assert sorted(mixed) == sorted(mixed, key=lambda reg: reg.code)
+    assert sorted(mixed) == [r(1), r(2), f(0), f(3), ICC, FCC, Y]
+    assert r(31) < f(0) <= f(0) < ICC
+    assert Y > ICC >= ICC
+    # One kind sorts by index, as it always has.
+    assert sorted([r(17), r(3), r(9)]) == [r(3), r(9), r(17)]
+    assert Reg(RegKind.FP, 3) < f(4)
+
+
+def _every_slot_filled(mnemonic: str) -> Instruction:
+    """One instruction of ``mnemonic`` with a register in every slot."""
+    info = lookup(mnemonic)
+    if info.fmt in (Format.CALL, Format.BRANCH):
+        return Instruction(mnemonic, imm=4)
+    if mnemonic == "nop":
+        return Instruction(mnemonic, imm=0)
+    if info.fmt is Format.SETHI:
+        return Instruction(mnemonic, rd=r(1), imm=0x100)
+    registers = {}
+    for slot, name in zip((Slot.RD, Slot.RS1, Slot.RS2), ("rd", "rs1", "rs2")):
+        kind = info.operand_kinds.get(slot)
+        if kind == "f":
+            registers[name] = f({Slot.RD: 0, Slot.RS1: 4, Slot.RS2: 8}[slot])
+        elif kind == "r":
+            registers[name] = r({Slot.RD: 3, Slot.RS1: 1, Slot.RS2: 2}[slot])
+    return Instruction(mnemonic, **registers)
+
+
+@pytest.mark.parametrize("mnemonic", all_mnemonics())
+def test_effect_sets_of_every_mnemonic_sort(mnemonic):
+    """FP loads and stores read an integer base and an FP register, and
+    ``addx`` reads ``%icc``: sets that mix kinds must sort."""
+    inst = _every_slot_filled(mnemonic)
+    for regs in (inst.regs_read(), inst.regs_written()):
+        ordered = sorted(regs)
+        assert [reg.code for reg in ordered] == sorted(reg.code for reg in regs)

@@ -11,8 +11,10 @@ from repro.robust import (
     inject_scheduler_faults,
     run_fault_injection,
 )
+from repro.robust.faults import inject_clobber_faults
 from repro.spawn import load_machine, load_superscalar, validate_machine
 from repro.spawn.model import ModelError
+from repro.workloads.spec95 import all_benchmarks, generate_benchmark
 
 MACHINE = load_machine("ultrasparc")
 
@@ -99,3 +101,13 @@ def test_symbolic_validator_faults_all_caught():
         assert outcome.layer == "analyze"
         assert outcome.injected > 0, outcome.fault
         assert outcome.escaped == 0, f"{outcome.fault}: {outcome.details}"
+
+
+@pytest.mark.parametrize("name", all_benchmarks())
+def test_clobber_faults_caught_on_every_stand_in(name):
+    """The clobbering profiler sorts each body instruction's reads; an
+    FP load or store reads an integer base and an FP register, so the
+    CFP95 stand-ins need registers of two kinds to order."""
+    outcome = inject_clobber_faults(MACHINE, generate_benchmark(name).executable)
+    assert outcome.injected > 0
+    assert outcome.caught == outcome.injected, outcome.details
