@@ -108,6 +108,7 @@ from ..obs.report import (
     SB_LEN,
     SCHED_BLOCKS,
 )
+from ..pipeline.simulator import issue_cycles
 from ..pipeline.stalls import issue
 from ..pipeline.state import PipelineState
 from ..spawn.model import MachineModel
@@ -683,7 +684,7 @@ class SuperblockScheduler:
                 predicted_taken = max(freqs[i] - freqs[i + 1], 0)
                 # the trampoline adds its own ba + nop on the exit path.
                 total_superblock += predicted_taken * (
-                    self._issue_cost(sink_sets[i]) + 2
+                    issue_cycles(self.model, sink_sets[i])[0] + 2
                 )
 
         if moved:
@@ -1044,15 +1045,6 @@ class SuperblockScheduler:
             for extra in (block.terminator, block.delay):
                 if extra is not None:
                     cycle = issue(cycle, state, extra, self.recorder).issue_cycle
-
-    # -- costing -----------------------------------------------------------------
-
-    def _issue_cost(self, instructions: list[Instruction]) -> int:
-        state = PipelineState(self.model)
-        cycle = 0
-        for inst in instructions:
-            cycle = issue(cycle, state, inst).issue_cycle
-        return cycle + 1 if instructions else 0
 
     # -- cache -------------------------------------------------------------------
 

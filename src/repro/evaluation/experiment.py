@@ -24,6 +24,12 @@ for real, and each such run is counted. With ``trace_timing=False`` the
 cost is the frequency-weighted sum of each block's issue cycles on the
 machine model (block frequencies are known analytically from the
 workload generator).
+
+Every build schedules through the transform ``qpt instrument --jobs 1``
+uses (:func:`~repro.parallel.executor.make_transform` with default
+options): serial, in this process, with no schedule cache. The cache
+paid nothing here (``docs/performance.md``), and parallelism belongs
+at the grain of whole experiments.
 """
 
 from __future__ import annotations
@@ -47,8 +53,7 @@ from ..obs.report import (
     TIMING_RECORDED,
     TIMING_REPLAYED,
 )
-from ..parallel.cache import ScheduleCache
-from ..parallel.executor import ParallelOptions, make_transform
+from ..parallel.executor import make_transform
 from ..pipeline.simulator import BlockSimulator
 from ..pipeline.timing import timed_run
 from ..qpt.profiling import SlowProfiler
@@ -157,11 +162,6 @@ class ExperimentConfig:
     #: and fallback counters then land in ``BenchmarkResult.metrics``.
     guarded: bool = False
     guard_budget: GuardBudget | None = None
-    #: worker processes for pre-scheduling regions (1 = serial).
-    jobs: int = 1
-    #: multiprocessing start method for the worker pool (``fork`` /
-    #: ``spawn`` / ``forkserver``); None picks the platform preference.
-    start_method: str | None = None
     #: schedule across profile-guided superblocks
     #: (:class:`~repro.core.superblock.SuperblockScheduler`), driven by
     #: the workload's known block frequencies. True for the default
@@ -170,11 +170,6 @@ class ExperimentConfig:
     #: ``trace_timing``: compensation trampolines add blocks, which the
     #: analytic per-block timing cannot attribute.
     superblock: "bool | object" = False
-    #: memoize schedules in a content-addressed cache, shared between
-    #: the reschedule-baseline pass and the instrument-and-schedule pass
-    #: (and across benchmarks when a cache is passed to
-    #: :func:`run_profiling_experiment`).
-    use_cache: bool = True
 
 
 def run_profiling_experiment(
@@ -183,14 +178,9 @@ def run_profiling_experiment(
     *,
     program: SyntheticProgram | None = None,
     recorder: Recorder | None = None,
-    schedule_cache: ScheduleCache | None = None,
     ledger: str | os.PathLike | None = None,
 ) -> BenchmarkResult:
     """Run the three-way profiling experiment for one benchmark.
-
-    ``schedule_cache`` shares one schedule cache across calls — a table
-    sweep over seeds re-edits mostly-identical code, and warm runs skip
-    the scheduler for every block already proven.
 
     ``ledger`` appends one ``kind="experiment"`` record to the run
     ledger (:mod:`repro.obs.ledger`): git SHA, timestamp, model/policy
@@ -257,16 +247,6 @@ def run_profiling_experiment(
                 text_expansion=expansion,
             )
 
-    parallel_options = ParallelOptions(
-        jobs=config.jobs,
-        use_cache=config.use_cache,
-        start_method=config.start_method,
-    )
-    if schedule_cache is None and config.use_cache:
-        # One cache per experiment: the reschedule-baseline pass warms
-        # it for the instrument-and-schedule pass.
-        schedule_cache = ScheduleCache(recorder=rec)
-
     def block_scheduler(recorder: Recorder | None = None, *, superblock: bool = False):
         profile = None
         if superblock and config.superblock:
@@ -277,8 +257,6 @@ def run_profiling_experiment(
             model,
             config.policy,
             recorder,
-            options=parallel_options,
-            cache=schedule_cache,
             guarded=config.guarded,
             guard_budget=config.guard_budget,
             superblock=config.superblock if superblock else False,
@@ -361,7 +339,6 @@ def _append_ledger_record(
         run={
             "benchmark": result.benchmark,
             "machine": result.machine,
-            "jobs": config.jobs,
             "guarded": config.guarded,
             "superblock": bool(config.superblock),
             "reschedule_baseline": config.reschedule_baseline,

@@ -6,6 +6,10 @@ Two cooperating pieces (see ``docs/performance.md``):
   (permutation + cycle accounting) keyed by a canonical fingerprint of
   the region (:mod:`repro.parallel.fingerprint`: register-renamed
   instruction words) under a (machine model, policy) context digest.
+  It exists only where builds share it: ``qpt serve`` keeps one per
+  (machine, filling) pair across requests, and a sharded build uses a
+  private one as the transport that carries worker results into its
+  layout pass. A one-shot serial build has none.
 * :class:`ParallelScheduler` — pre-schedules every region an editor
   pass will touch across worker processes, warming the cache so the
   inherently serial layout pass runs entirely on hits. Serial,
@@ -13,9 +17,9 @@ Two cooperating pieces (see ``docs/performance.md``):
   differential suite in ``tests/parallel/`` holds that equivalence.
 
 Worker processes come from the persistent spawn-once pool in
-:mod:`repro.parallel.pool` — models and their compiled pipeline tables
-stay hot across builds, which is what makes parallel-cold
-faster than serial instead of slower (see ``docs/performance.md``).
+:mod:`repro.parallel.pool`, where models and their compiled pipeline
+tables stay hot across builds. On a host with one usable CPU no build
+shards and no pool spawns (:func:`make_transform`, :func:`warm_pool`).
 
 The cache composes with guarded scheduling: the guard serves only
 *verified* entries and inserts only after a block's proof passes, so
@@ -47,7 +51,6 @@ from .fingerprint import (
     superblock_digest,
 )
 from .pool import (
-    InlineLease,
     PoolLease,
     PoolManager,
     acquire_pool,
@@ -61,7 +64,6 @@ __all__ = [
     "CachedSchedule",
     "CachedSuperblockPlan",
     "DEFAULT_CACHE_ENTRIES",
-    "InlineLease",
     "ModeTiming",
     "ParallelOptions",
     "ParallelScheduler",

@@ -101,10 +101,10 @@ def measure_modes(
 ) -> ScalingReport:
     """Time serial / parallel / warm-cache builds of the same edit.
 
-    Modes measured: ``serial`` (jobs=1, no cache), ``cached-cold``
-    (jobs=1, fresh cache), ``parallel`` (jobs=N, fresh cache), and
-    ``cached-warm`` (jobs=1 against the cache the parallel build
-    populated — the steady state of repeated edits).
+    Modes measured: ``serial`` (jobs=1, no cache — the one-shot build),
+    ``cached-cold`` (jobs=1, fresh cache), ``parallel`` (jobs=N, fresh
+    cache), and ``cached-warm`` (jobs=1 against the cache the parallel
+    build populated — the steady state of builds that share a cache).
 
     The persistent worker pool is warmed *before* the parallel mode is
     timed and its spawn cost reported separately
@@ -112,7 +112,9 @@ def measure_modes(
     process — at daemon start in production — so folding its one-time
     fork/model-build cost into every measured build would misstate the
     steady state the pool exists to provide. ``guarded`` builds never
-    use the pool, so they warm none and report a spawn cost of 0.
+    use the pool, so they warm none and report a spawn cost of 0; nor
+    does a host with one usable CPU, where the ``parallel`` row is the
+    serial transform against a fresh cache.
 
     ``repeats`` re-runs every mode that many times and reports each
     mode's *fastest* wall time — the standard noise floor for
@@ -171,7 +173,7 @@ def measure_modes(
         modes.append(best)
         return run_cache
 
-    timed("serial", options=ParallelOptions(jobs=1, use_cache=False))
+    timed("serial", options=ParallelOptions(jobs=1))
     timed(
         "cached-cold",
         options=ParallelOptions(jobs=1),

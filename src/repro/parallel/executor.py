@@ -41,16 +41,12 @@ optimistic round leases a shared spawn-once pool whose workers hold
 hot models with their pipeline tables compiled at startup, so
 repeated builds pay IPC and scheduling — not fork, model rebuild, and
 table compilation — and shards are sized adaptively to amortize that
-IPC over larger region batches. On a host whose OS offers only one CPU
-the pool degrades further, to an in-process fast path
-(:class:`~repro.parallel.pool.InlineLease`): the same worker entry
-point runs on the same warm model and tables with zero IPC,
-because fan-out that time-slices a single core is pure overhead.
-Cautious retry rounds still run in fresh single-worker pools for exact
-crash attribution, and a pool the supervisor kills is retired so the
-next build respawns clean workers
-(``ParallelOptions(persistent_pool=False)`` restores the historical
-pool-per-build behavior).
+IPC over larger region batches. Cautious retry rounds, and every round
+of an injected worker function, run in fresh pools for exact crash
+attribution, and a pool the supervisor kills is retired so the next
+build respawns clean workers. On a host whose OS offers only one CPU
+a build does not shard at all (:func:`make_transform`), because
+fan-out that time-slices a single core is pure overhead.
 
 Workers are supervised (:mod:`repro.robust.supervise`): each shard gets
 a wall-clock deadline, a dead or hung worker costs a bounded, bisecting
@@ -98,9 +94,9 @@ from ..robust.supervise import (
     SupervisionPolicy,
 )
 from ..spawn.model import MachineModel
-from .cache import DEFAULT_CACHE_ENTRIES, ScheduleCache
+from .cache import ScheduleCache
 from .fingerprint import region_digest, schedule_checksum
-from .pool import acquire_pool, warm_worker_model, worker_model
+from .pool import acquire_pool, effective_workers, warm_worker_model, worker_model
 
 
 #: Smallest shard the adaptive chunker will cut: below this, the pickle
@@ -112,9 +108,9 @@ MIN_SHARD_REGIONS = 16
 class ParallelOptions:
     """How an edit's scheduling work is executed.
 
-    ``jobs=1`` is the ordinary serial path. ``use_cache=False`` disables
-    cross-build memoization; with ``jobs > 1`` a private transport cache
-    still carries worker results into the layout pass, then is dropped.
+    ``jobs=1`` is the ordinary serial path; an unguarded build with
+    ``jobs > 1`` shards its regions across the shared worker pool
+    (:func:`make_transform`).
 
     ``start_method`` picks the multiprocessing start method explicitly
     (``fork``/``spawn``/``forkserver``); None keeps the historical
@@ -122,23 +118,16 @@ class ParallelOptions:
     to the platform default elsewhere. ``shard_deadline_s`` and
     ``max_shard_retries`` parameterize worker supervision
     (:class:`~repro.robust.supervise.SupervisionPolicy`).
-    ``persistent_pool=False`` opts out of the shared spawn-once worker
-    pool and builds an ephemeral pool per edit (the pre-pool behavior).
     """
 
     jobs: int = 1
-    use_cache: bool = True
-    cache_entries: int = DEFAULT_CACHE_ENTRIES
     start_method: str | None = None
     shard_deadline_s: float = DEFAULT_SHARD_DEADLINE_S
     max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES
-    persistent_pool: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.cache_entries < 1:
-            raise ValueError("cache_entries must be at least 1")
         if self.start_method is not None:
             methods = multiprocessing.get_all_start_methods()
             if self.start_method not in methods:
@@ -153,17 +142,6 @@ class ParallelOptions:
 
 
 # -- worker side -----------------------------------------------------------------
-
-
-#: Parent-side region digests for the *current* build, keyed by
-#: ``id(region)``. Only the inline fast path reads it: when
-#: ``_schedule_shard`` runs in the parent process, the region object
-#: it received IS the object ``_collect_shards`` digested — no IPC
-#: happened, so recomputing the self-authenticating digest would prove
-#: nothing. A real worker process must never consult it (its regions
-#: are fresh unpickles whose ids can collide with a stale fork-time
-#: snapshot), hence the ``parent_process()`` guard at the use site.
-_PARENT_DIGESTS: dict[int, str] = {}
 
 
 def _worker_model(name: str, source: str) -> MachineModel:
@@ -204,17 +182,11 @@ def _schedule_shard(payload):
     model = warm_worker_model(name, source)
     recorder = MetricsRecorder() if telemetry else None
     scheduler = ListScheduler(model, policy, recorder)
-    # In-parent (inline pool) execution may reuse collect-time digests;
-    # see _PARENT_DIGESTS for why child processes must not.
-    known_digests = (
-        _PARENT_DIGESTS if multiprocessing.parent_process() is None else {}
-    )
     out = []
     for region in regions:
-        known = known_digests.get(id(region))
         region = list(region)
         result = scheduler.schedule_region(region)
-        digest = known if known is not None else region_digest(region)
+        digest = region_digest(region)
         out.append(
             (
                 digest,
@@ -284,7 +256,6 @@ class ParallelScheduler:
         start_method: str | None = None,
         shard_deadline_s: float = DEFAULT_SHARD_DEADLINE_S,
         max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-        persistent_pool: bool = True,
         worker_fn=None,
     ) -> None:
         if getattr(inner, "cache", None) is not cache:
@@ -299,7 +270,6 @@ class ParallelScheduler:
         self.model = inner.model
         self.policy = inner.policy
         self.start_method = start_method
-        self.persistent_pool = persistent_pool
         self.supervision_policy = SupervisionPolicy(
             shard_deadline_s=shard_deadline_s, max_retries=max_shard_retries
         )
@@ -424,18 +394,13 @@ class ParallelScheduler:
             # are invisible to its workers — and must get fresh
             # processes it can kill.
             nonlocal leased
-            if (
-                self.persistent_pool
-                and not leased
-                and self.worker_fn is _schedule_shard
-            ):
+            if not leased and self.worker_fn is _schedule_shard:
                 leased = True
                 return acquire_pool(
                     jobs=self.jobs,
                     context=context,
                     warm=(name, source),
                     recorder=self.recorder,
-                    allow_inline=True,
                 )
             return ProcessPoolExecutor(
                 max_workers=max(1, min(self.jobs, queued)), mp_context=context
@@ -448,16 +413,7 @@ class ParallelScheduler:
             policy=self.supervision_policy,
             recorder=self.recorder,
         )
-        # Publish collect-time digests for the inline fast path (ids
-        # are unique among live objects, and the regions stay alive in
-        # ``shards`` until the pops below, so entries cannot alias
-        # across concurrent builds in other threads).
-        _PARENT_DIGESTS.update(self._digests)
-        try:
-            outcome = supervisor.run(shards)
-        finally:
-            for region_id in self._digests:
-                _PARENT_DIGESTS.pop(region_id, None)
+        outcome = supervisor.run(shards)
         self.supervision = outcome
         # Merge in hierarchical key order: cache state after warming is
         # independent of worker completion and retry interleaving.
@@ -571,19 +527,22 @@ def make_transform(
     superblock: bool | SuperblockConfig = False,
     profile=None,
 ):
-    """The editor transform for a (jobs, cache) configuration.
+    """The editor transform for a ``jobs`` configuration.
 
-    Unguarded, returns a plain :class:`BlockScheduler` when
-    ``jobs == 1`` or a :class:`ParallelScheduler` wrapping one when
-    ``jobs > 1``. Guarded, returns a :class:`GuardedBlockScheduler` at
-    every ``jobs``: the guard proves each block in this process with
-    the verification ladder, so its output, quarantine and gate
-    counters do not depend on ``jobs``. Pass ``cache`` to share one
-    :class:`ScheduleCache` across calls (warm runs); otherwise a fresh
-    cache is created per transform — and none at all when
-    ``use_cache`` is off (an unguarded ``jobs > 1`` build then gets a
-    private cache that only carries worker results into its own layout
-    pass).
+    Unguarded, returns a :class:`ParallelScheduler` wrapping a plain
+    :class:`BlockScheduler` when the build shards — ``jobs > 1`` on a
+    host with more than one usable CPU
+    (:func:`~repro.parallel.pool.effective_workers`) — and the plain
+    scheduler otherwise. Guarded, returns a
+    :class:`GuardedBlockScheduler` at every ``jobs``: the guard proves
+    each block in this process with the verification ladder, so its
+    output, quarantine and gate counters do not depend on ``jobs``.
+
+    Pass ``cache`` to share one :class:`ScheduleCache` across builds
+    (serve's first-seen builds, warm runs). Without one, only a sharded
+    build gets a cache: a private transport that carries worker results
+    into its own layout pass. Every other build schedules each region
+    afresh, which is cheaper than probing a cache nothing else reads.
 
     ``superblock`` (True, or a
     :class:`~repro.core.superblock.SuperblockConfig`) wraps the result
@@ -594,13 +553,9 @@ def make_transform(
     ``profile`` supplies its block execution frequencies.
     """
     options = options or ParallelOptions()
-    sharded = options.jobs > 1 and not guarded
-    if cache is None and (options.use_cache or sharded):
-        cache = ScheduleCache(
-            max_entries=options.cache_entries, recorder=recorder
-        )
-    if not options.use_cache and not sharded:
-        cache = None
+    sharded = not guarded and effective_workers(options.jobs) > 1
+    if sharded and cache is None:
+        cache = ScheduleCache(recorder=recorder)
     if guarded:
         transform = GuardedBlockScheduler(
             model,
@@ -623,7 +578,6 @@ def make_transform(
             start_method=options.start_method,
             shard_deadline_s=options.shard_deadline_s,
             max_shard_retries=options.max_shard_retries,
-            persistent_pool=options.persistent_pool,
         )
     if superblock:
         config = superblock if isinstance(superblock, SuperblockConfig) else None

@@ -38,19 +38,13 @@ executor — the registry entry is invalidated before the workers are
 terminated, so the next lease respawns a clean pool and a poisoned
 worker can never serve a later build.
 
-Finally, the pool is **adaptive to the host**: when the OS offers a
-single CPU (``os.cpu_count() == 1``), process fan-out cannot pay — the
-workers time-slice one core and every IPC hop adds scheduler latency —
-so :meth:`PoolManager.acquire` hands out an :class:`InlineLease`
-instead: shards run through the *same* worker entry point on the same
-warm model and tables, in the parent process, with zero IPC. The
-trade is explicit: an inline shard that hangs cannot be killed by the
-supervisor's deadline (exceptions still route through the ordinary
-retry machinery), which is why inline service is only offered when the
-caller passes ``allow_inline=True`` — the executor does so only for
-the stock scheduling entry point, never for injected worker functions
-(the chaos harness always gets real processes to crash). Set
-``REPRO_POOL_INLINE=0``/``1`` to force the decision either way.
+A host with one usable CPU (:func:`effective_workers` is 1) gets no
+pool at all: workers would time-slice that core and every IPC hop
+adds latency, so :func:`~repro.parallel.executor.make_transform`
+returns the serial transform there and :func:`warm_pool` spawns
+nothing. Callers that need real processes whatever the host (the
+chaos harness, fault-injection tests) build a
+:class:`~repro.parallel.executor.ParallelScheduler` themselves.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ import atexit
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,60 +87,13 @@ def warm_worker_model(name: str, source: str) -> MachineModel:
     return model
 
 
-#: Environment override for the inline fast path: "1" forces it on
-#: (wherever the caller allows it), "0" forces real process pools.
-INLINE_ENV = "REPRO_POOL_INLINE"
-
-
 def effective_workers(jobs: int) -> int:
     """How many workers can actually run concurrently: ``jobs`` capped
     by the host's CPU count. The executor does not silently clamp pool
     sizes to this (the CLI warns instead) — it only consults it for the
-    one degenerate case where fan-out is pure overhead."""
+    one degenerate case where fan-out is pure overhead: at 1, a build
+    does not shard."""
     return max(1, min(int(jobs), os.cpu_count() or int(jobs)))
-
-
-def _inline_eligible(jobs: int) -> bool:
-    override = os.environ.get(INLINE_ENV)
-    if override == "0":
-        return False
-    if override == "1":
-        return True
-    return effective_workers(jobs) == 1
-
-
-class InlineLease:
-    """The pool's degenerate form for hosts with one usable CPU.
-
-    Satisfies the same supervisor pool protocol as :class:`PoolLease`,
-    but ``submit`` runs the task *in the parent process, synchronously*,
-    on the same warm model state real workers would hold (the
-    process-wide :func:`worker_model` cache and its models' tables — that
-    cache IS this pool's persistent warm state). Exceptions are
-    captured into the returned future, so the supervisor's penalize/
-    bisect/retry machinery behaves exactly as with a worker that raised;
-    only crash-kill and deadline interruption are lost, which is the
-    documented trade for not paying IPC that cannot be overlapped with
-    anything.
-    """
-
-    #: no worker processes for ``_kill_pool`` to terminate.
-    _processes: dict = {}
-    generation = 0
-
-    def __init__(self, recorder: Recorder | None = None) -> None:
-        self._recorder = recorder if recorder is not None else NULL_RECORDER
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # captured, not raised: the
-            future.set_exception(exc)  # supervisor owns error handling
-        return future
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        return None
 
 
 # -- the shared registry ---------------------------------------------------------
@@ -236,9 +183,6 @@ class PoolManager:
         self._lock = threading.Lock()
         self._pools: dict[tuple, _PoolEntry] = {}
         self._generations: dict[tuple, int] = {}
-        #: warm specs already served inline (their models are hot in
-        #: the parent's :func:`worker_model` cache).
-        self._inline_warm: set = set()
         self.spawns = 0
         self.reuses = 0
         self.retires = 0
@@ -250,8 +194,7 @@ class PoolManager:
         context,
         warm: tuple[str, str] | None = None,
         recorder: Recorder | None = None,
-        allow_inline: bool = False,
-    ) -> "PoolLease | InlineLease":
+    ) -> PoolLease:
         """Lease the pool for ``(context, jobs)``, spawning or
         respawning it if absent or unhealthy.
 
@@ -261,24 +204,8 @@ class PoolManager:
         children inherit the built model); an already-warm pool ignores
         it — its workers warm lazily on first contact with a new model
         and stay hot from then on.
-
-        ``allow_inline=True`` permits the degenerate single-CPU fast
-        path (:class:`InlineLease`); callers that need real processes —
-        fault injection, IPC tests — leave it off.
         """
         recorder = recorder if recorder is not None else NULL_RECORDER
-        if allow_inline and _inline_eligible(jobs):
-            if warm is not None:
-                warm_worker_model(*warm)
-            with self._lock:
-                if warm in self._inline_warm:
-                    self.reuses += 1
-                    recorder.count(POOL_REUSES)
-                else:
-                    self._inline_warm.add(warm)
-                    self.spawns += 1
-                    recorder.count(POOL_SPAWNS)
-            return InlineLease(recorder)
         if context is None:
             context = multiprocessing.get_context(
                 "fork"
@@ -353,7 +280,6 @@ class PoolManager:
                 if self._pools.get(entry.key) is entry:
                     del self._pools[entry.key]
             self.retires += len(entries)
-            self._inline_warm.clear()
 
     def stats(self) -> dict:
         """Registry counters plus the live pools' shapes."""
@@ -371,7 +297,6 @@ class PoolManager:
             "spawns": self.spawns,
             "reuses": self.reuses,
             "retires": self.retires,
-            "inline_models": len(self._inline_warm),
             "pools": pools,
         }
 
@@ -387,16 +312,9 @@ def acquire_pool(
     context,
     warm: tuple[str, str] | None = None,
     recorder: Recorder | None = None,
-    allow_inline: bool = False,
-) -> "PoolLease | InlineLease":
+) -> PoolLease:
     """Lease the shared persistent pool (see :meth:`PoolManager.acquire`)."""
-    return MANAGER.acquire(
-        jobs=jobs,
-        context=context,
-        warm=warm,
-        recorder=recorder,
-        allow_inline=allow_inline,
-    )
+    return MANAGER.acquire(jobs=jobs, context=context, warm=warm, recorder=recorder)
 
 
 def pool_stats() -> dict:
@@ -418,22 +336,18 @@ def warm_pool(
 
     Daemon startup and benchmarks call this so the spawn + model-build
     cost lands at service start, not inside the first request or the
-    timed region. Returns False when the model carries no SADL source
-    (such models cannot run in workers at all — the executor's serial
-    fallback owns them).
+    timed region. Returns False, spawning nothing, when builds at
+    ``jobs`` do not shard on this host (:func:`effective_workers` is 1)
+    or the model carries no SADL source (such models cannot run in
+    workers at all — the executor's serial fallback owns them).
     """
     from .executor import _model_spec, _mp_context
 
     spec = _model_spec(model)
-    if spec is None:
+    if spec is None or effective_workers(jobs) == 1:
         return False
-    context = _mp_context(start_method)
     lease = acquire_pool(
-        jobs=jobs,
-        context=context,
-        warm=spec,
-        recorder=recorder,
-        allow_inline=True,
+        jobs=jobs, context=_mp_context(start_method), warm=spec, recorder=recorder
     )
     # Round-trip one no-op per worker so spawn completes before return.
     futures = [lease.submit(_noop) for _ in range(max(1, int(jobs)))]

@@ -43,6 +43,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
+from ..core.block_scheduler import BlockScheduler
 from ..core.dependence import SchedulingPolicy
 from ..core.regions import split_regions
 from ..eel.cfg import build_cfg
@@ -293,11 +294,8 @@ def run_chaos_suite(
     ``shard_deadline_s`` is deliberately short — the hang class waits
     it out once.
     """
-    from ..parallel.executor import (
-        ParallelOptions,
-        ParallelScheduler,
-        make_transform,
-    )
+    from ..parallel.cache import ScheduleCache
+    from ..parallel.executor import ParallelScheduler, make_transform
 
     if only is not None:
         unknown = set(only) - set(CHAOS_FAULTS)
@@ -319,20 +317,20 @@ def run_chaos_suite(
 
     def parallel_build(worker_fn, *, deadline=shard_deadline_s, retries=2):
         """One jobs>1 build with a chaos worker; returns (bytes, transform,
-        recorder metrics)."""
+        recorder metrics). Built directly rather than through
+        :func:`make_transform`, which does not shard on a one-CPU host:
+        the injected worker must run in real processes on any host."""
         recorder = MetricsRecorder()
-        transform = make_transform(
-            model,
-            policy,
-            recorder,
-            options=ParallelOptions(
-                jobs=jobs,
-                shard_deadline_s=deadline,
-                max_shard_retries=retries,
-            ),
+        cache = ScheduleCache(recorder=recorder)
+        transform = ParallelScheduler(
+            BlockScheduler(model, policy, recorder, cache=cache),
+            cache,
+            jobs=jobs,
+            recorder=recorder,
+            shard_deadline_s=deadline,
+            max_shard_retries=retries,
+            worker_fn=worker_fn,
         )
-        assert isinstance(transform, ParallelScheduler)
-        transform.worker_fn = worker_fn
         edited = Editor(executable, recorder=recorder).build(transform)
         return _text(edited), transform, recorder.metrics
 

@@ -583,8 +583,9 @@ class ClobberingProfiler:
     Wraps :class:`~repro.qpt.profiling.SlowProfiler` (composition, so
     the import stays lazy) and overrides its scratch choice: instead of
     provably dead registers it picks registers the block's own original
-    code still reads. Every block stays a legal schedule, so the guard
-    verifies it happily; ``corrupted`` records the block indexes whose
+    code still reads. The guard proves schedules, not snippets, so it
+    verifies most such blocks (see :func:`inject_clobber_faults` for the
+    ones it catches); ``corrupted`` records the block indexes whose
     snippets clobber live state.
     """
 
@@ -644,7 +645,16 @@ def inject_clobber_faults(
     verify_seed: int = DEFAULT_SEED,
 ) -> FaultOutcome:
     """Instrument with live-register scratch; the static image analysis
-    must flag every corrupted block (the dynamic guard cannot)."""
+    must flag every corrupted block.
+
+    The guard proves schedules, not snippets, so most corrupted blocks
+    pass it. It can still catch one: the policy assumes counter and
+    original memory disjoint, but a clobbered base register can point
+    an original access at the counter's own word, and the scheduler may
+    then move that access across the counter's store. The ladder sees
+    the changed value and quarantines the block. A quarantined block
+    in ``corrupted`` is such an expected catch; one outside it is
+    reported as unexpected."""
     from ..analyze import lint_profiled
 
     rec = recorder if recorder is not None else NULL_RECORDER
@@ -665,10 +675,18 @@ def inject_clobber_faults(
     }
     caught = len(profiler.corrupted & flagged)
     details = []
-    if guard.quarantine:
+    quarantined = {report.block for report in guard.quarantine}
+    expected = sorted(quarantined & profiler.corrupted)
+    if expected:
         details.append(
-            "unexpected quarantine: the clobber class should be invisible "
-            "to the dynamic guard"
+            f"guard also quarantined corrupted blocks {expected}: a "
+            "clobbered register let the schedule change a value"
+        )
+    unexpected = sorted(quarantined - profiler.corrupted)
+    if unexpected:
+        details.append(
+            f"unexpected quarantine of blocks {unexpected}: their counter "
+            "snippets clobber nothing"
         )
     missed = sorted(profiler.corrupted - flagged)
     if missed:

@@ -91,8 +91,6 @@ class ServiceConfig:
     max_pending: int = 8
     #: resource bounds handed to guarded (``safe``/``verify``) jobs.
     guard_budget: GuardBudget | None = None
-    #: entries per shared schedule cache context.
-    cache_entries: int = 65536
     #: where :meth:`SchedulingService.flush_ledger` appends.
     ledger_path: str = DEFAULT_LEDGER_NAME
 
@@ -115,6 +113,10 @@ LATENCY_RING = 4096
 #: request set ``return_executable``. The worst case is therefore this
 #: many of the largest images served, times 4/3.
 RESULT_MEMO_ENTRIES = 1024
+
+#: Entries kept by each (machine, filling) pair's shared schedule
+#: cache; the least recently used goes first.
+SCHEDULE_CACHE_ENTRIES = 65536
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -207,7 +209,7 @@ class SchedulingService:
             cache = self._caches.get(key)
             if cache is None:
                 cache = ScheduleCache(
-                    max_entries=self.config.cache_entries, recorder=self.recorder
+                    max_entries=SCHEDULE_CACHE_ENTRIES, recorder=self.recorder
                 )
                 self._caches[key] = cache
             return cache

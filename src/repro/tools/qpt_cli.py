@@ -5,7 +5,7 @@ Operates on RXE executables:
 .. code-block:: console
 
    $ python -m repro.tools.qpt_cli instrument prog.rxe -o prog.qpt.rxe \\
-         --machine ultrasparc --schedule --superblock --safe --jobs 4 --cache
+         --machine ultrasparc --schedule --superblock --jobs 4
    $ python -m repro.tools.qpt_cli run prog.qpt.rxe --profile prog.qpt.json
    $ python -m repro.tools.qpt_cli faults --machine ultrasparc
    $ python -m repro.tools.qpt_cli chaos --jobs 2 --ledger
@@ -32,11 +32,10 @@ Operates on RXE executables:
 ``instrument`` writes a JSON sidecar (``<out>.json``) recording counter
 addresses and the placement plan so ``run --profile`` can print exact
 per-block execution counts after the simulated run. ``--jobs N``
-pre-schedules regions across N worker processes (unguarded builds
-only: ``--safe``/``--strict`` prove every block in-process at any
-``--jobs``) and ``--cache`` memoizes schedules in the
-content-addressed cache (both byte-identical to a serial, uncached
-run); ``benchmarks`` times the serial / parallel /
+pre-schedules regions across N worker processes, byte-identically to
+a serial run (unguarded builds on a host with more than one CPU only:
+``--safe``/``--strict`` prove every block in-process at any
+``--jobs``); ``benchmarks`` times the serial / parallel /
 warm-cache modes against each other and cross-checks their outputs.
 Every stall query runs through the machine's compiled
 stall-transition tables, which answer exactly as the interpreted
@@ -213,7 +212,7 @@ def cmd_instrument(args) -> int:
             model,
             policy,
             recorder,
-            options=ParallelOptions(jobs=args.jobs, use_cache=args.cache),
+            options=ParallelOptions(jobs=args.jobs),
             guarded=guarded,
             strict=args.strict,
             verify_seed=args.verify_seed,
@@ -776,7 +775,7 @@ def _benchmarks_run(args) -> int:
         print(
             f"warning: --jobs {args.jobs} exceeds the {cpus} CPU(s) the OS "
             "reports; extra workers only add scheduling overhead here "
-            "(the persistent pool degrades to its in-process fast path)",
+            "(on a host with one CPU, builds do not shard)",
             file=sys.stderr,
         )
     model = load_machine(args.machine)
@@ -925,10 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default %(default)s; output is byte-identical); "
                    "--safe/--strict builds verify in this process and "
                    "do not shard")
-    p.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="memoize schedules in the content-addressed "
-                   "schedule cache (default on)")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_instrument)
 

@@ -127,7 +127,6 @@ def test_run_table_trip_count_keeps_every_other_config_field(monkeypatch):
         trace_timing=False,
         max_instructions=400_000,
         optimizer_restarts=2,
-        use_cache=False,
     )
     monkeypatch.setitem(TABLE_CONFIGS, 1, config)
     table = run_table(1, benchmarks=("130.li",), trip_count=6)

@@ -45,7 +45,7 @@ def build(program, *, jobs=1, worker_fn=None):
         MACHINE,
         POLICY,
         recorder,
-        options=ParallelOptions(jobs=jobs, use_cache=True, shard_deadline_s=30.0),
+        options=ParallelOptions(jobs=jobs, shard_deadline_s=30.0),
     )
     if worker_fn is not None:
         transform.worker_fn = worker_fn

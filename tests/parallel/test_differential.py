@@ -1,10 +1,12 @@
 """The differential proof: serial == parallel == cached, byte for byte.
 
-Every configuration of (worker count, cache mode) must produce the
-same scheduled executable as a plain serial run — same output bytes,
-same :class:`SchedulerStats`, same hazard-attribution bucket totals —
-on randomized synthetic executables. This is the test layer that makes
-the parallel executor's determinism claim falsifiable.
+Every configuration of (worker count, cache) must produce the same
+scheduled executable as the default build — serial, with no cache —
+with the same :class:`SchedulerStats` and the same hazard-attribution
+bucket totals, on randomized synthetic executables. The matrix covers
+the sharded build (its private transport cache), an explicit cold
+cache and an explicit shared warm cache. This is the test layer that
+makes the parallel executor's determinism claim falsifiable.
 """
 
 import pytest
@@ -41,7 +43,6 @@ def build(
     *,
     jobs=1,
     cache=None,
-    use_cache=True,
     guarded=False,
     verify_seed=0,
 ):
@@ -52,7 +53,7 @@ def build(
         MACHINE,
         POLICY,
         recorder,
-        options=ParallelOptions(jobs=jobs, use_cache=use_cache),
+        options=ParallelOptions(jobs=jobs),
         cache=cache,
         guarded=guarded,
         verify_seed=verify_seed,
@@ -78,10 +79,10 @@ def build(
 @pytest.mark.parametrize("seed", SEEDS)
 def test_jobs_and_cache_modes_are_equivalent(seed):
     program = workload(seed)
-    reference = build(program, jobs=1, use_cache=False)
+    reference = build(program)
     for jobs in JOBS:
-        disabled = build(program, jobs=jobs, use_cache=False)
-        assert disabled == reference, f"jobs={jobs} cache=disabled diverged"
+        default = build(program, jobs=jobs)
+        assert default == reference, f"jobs={jobs} default build diverged"
 
         cold = build(program, jobs=jobs, cache=ScheduleCache())
         assert cold == reference, f"jobs={jobs} cache=cold diverged"
@@ -108,7 +109,7 @@ def test_fp_workload_equivalent_across_modes():
     # FP workloads exercise double-word memory ops, which disable
     # register-renaming canonicalization — the modes must still agree.
     program = workload(42, kind="fp")
-    reference = build(program, jobs=1, use_cache=False)
+    reference = build(program)
     shared = ScheduleCache()
     assert build(program, jobs=4, cache=shared) == reference
     assert build(program, jobs=1, cache=shared) == reference
@@ -117,8 +118,7 @@ def test_fp_workload_equivalent_across_modes():
 @pytest.mark.parametrize("verify_seed", (0, 1, 2))
 def test_guarded_modes_equivalent_across_verify_seeds(verify_seed):
     program = workload(77)
-    reference = build(program, jobs=1, use_cache=False, guarded=True,
-                      verify_seed=verify_seed)
+    reference = build(program, guarded=True, verify_seed=verify_seed)
     for jobs in (1, 4):
         cold = build(program, jobs=jobs, cache=ScheduleCache(), guarded=True,
                      verify_seed=verify_seed)
@@ -189,57 +189,18 @@ def test_parallel_workers_actually_warm_the_cache():
 # -- the persistent pool joins the matrix ----------------------------------------
 
 
-def pooled_build(program, *, jobs, persistent_pool, cache=None):
-    recorder = MetricsRecorder()
-    transform = make_transform(
-        MACHINE,
-        POLICY,
-        recorder,
-        options=ParallelOptions(jobs=jobs, persistent_pool=persistent_pool),
-        cache=cache,
-    )
-    profiled = SlowProfiler(program.executable, recorder=recorder).instrument(
-        transform
-    )
-    metrics = recorder.metrics
-    buckets = {
-        kind: metrics.counter_total(STALL_CYCLES, kind=kind)
-        for kind in HAZARD_KINDS
-    }
-    buckets["issues"] = metrics.counter_total(ISSUES)
-    return bytes(profiled.executable.text_section().data), transform.stats, buckets
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_persistent_pool_joins_the_differential_matrix(seed):
-    """PR 10's pool must not perturb a single byte, stat, or hazard
-    bucket relative to the fork-per-call executor it replaced."""
+    """The shared spawn-once pool must not perturb a single byte, stat,
+    or hazard bucket: a second build leases the pool the first one
+    warmed, and both match the serial reference."""
     program = workload(seed)
-    reference = build(program, jobs=1, use_cache=False)
+    reference = build(program)
     for jobs in (2, 4):
-        pooled = pooled_build(program, jobs=jobs, persistent_pool=True,
-                              cache=ScheduleCache())
-        ephemeral = pooled_build(program, jobs=jobs, persistent_pool=False,
-                                 cache=ScheduleCache())
-        assert pooled == reference, f"persistent pool jobs={jobs} diverged"
-        assert ephemeral == reference, f"ephemeral pool jobs={jobs} diverged"
-
-
-def test_forced_real_pool_matches_inline_fast_path(monkeypatch):
-    """REPRO_POOL_INLINE toggles *where* shards run, never what they
-    produce: forked pool workers and the in-process fast path agree."""
-    from repro.parallel.pool import INLINE_ENV
-
-    program = workload(101)
-    reference = build(program, jobs=1, use_cache=False)
-    monkeypatch.setenv(INLINE_ENV, "1")
-    inline = pooled_build(program, jobs=2, persistent_pool=True,
-                          cache=ScheduleCache())
-    monkeypatch.setenv(INLINE_ENV, "0")
-    forked = pooled_build(program, jobs=2, persistent_pool=True,
-                          cache=ScheduleCache())
-    assert inline == reference
-    assert forked == reference
+        first = build(program, jobs=jobs, cache=ScheduleCache())
+        leased_again = build(program, jobs=jobs, cache=ScheduleCache())
+        assert first == reference, f"persistent pool jobs={jobs} diverged"
+        assert leased_again == reference, f"reused pool jobs={jobs} diverged"
 
 
 # -- the daemon joins the matrix -------------------------------------------------

@@ -1,27 +1,29 @@
-"""The persistent worker pool: spawn-once reuse, the inline fast path,
+"""The persistent worker pool: spawn-once reuse, no pool on one CPU,
 and learned-table persistence.
 
 These tests pin the pool's contract rather than its wall clock: leases
-hand the supervisor a working executor interface, the single-CPU
-inline path runs the *same* worker entry point on the same warm model,
-``REPRO_POOL_INLINE`` overrides eligibility both ways, and the tables
-a build learns are written back to the disk cache exactly once.
+hand the supervisor a working executor interface backed by real
+processes, a host with one usable CPU builds serially and spawns
+nothing (while the chaos harness still gets real workers there), and
+the tables a build learns are written back to the disk cache exactly
+once.
 """
 
 import os
 
 import pytest
 
-from repro.core import SchedulingPolicy
+from repro.core import BlockScheduler, SchedulingPolicy
 from repro.obs import MetricsRecorder
 from repro.parallel import (
-    InlineLease,
     ParallelOptions,
-    ScheduleCache,
     effective_workers,
     make_transform,
+    pool_stats,
+    warm_pool,
 )
-from repro.parallel.pool import INLINE_ENV, MANAGER, PoolManager, _inline_eligible
+from repro.parallel import executor, pool
+from repro.parallel.pool import MANAGER, PoolManager
 from repro.qpt import SlowProfiler
 from repro.spawn import load_machine
 from repro.workloads.generator import WorkloadSpec, generate
@@ -30,27 +32,23 @@ MACHINE = load_machine("ultrasparc")
 POLICY = SchedulingPolicy(fill_delay_slots=True)
 
 
-def _spec():
-    if MACHINE.source is None:
-        pytest.skip("library machine carries no SADL source")
-    return MACHINE.name, MACHINE.source
-
-
 def workload(seed=61):
     return generate(
         WorkloadSpec(name=f"pool-{seed}", seed=seed, kind="int", avg_block_size=8.0)
     )
 
 
-def build(program, *, jobs, cache=None, persistent_pool=True):
-    transform = make_transform(
-        MACHINE,
-        POLICY,
-        options=ParallelOptions(jobs=jobs, persistent_pool=persistent_pool),
-        cache=cache,
-    )
+def build(program, *, jobs):
+    transform = make_transform(MACHINE, POLICY, options=ParallelOptions(jobs=jobs))
     profiled = SlowProfiler(program.executable).instrument(transform)
     return bytes(profiled.executable.text_section().data)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The host offers one usable CPU, whatever ``jobs`` asks for."""
+    for module in (executor, pool):
+        monkeypatch.setattr(module, "effective_workers", lambda jobs: 1)
 
 
 # -- eligibility -----------------------------------------------------------------
@@ -63,64 +61,13 @@ def test_effective_workers_clamps_to_cpu_count():
     assert effective_workers(0) == 1
 
 
-def test_inline_env_overrides_both_ways(monkeypatch):
-    monkeypatch.setenv(INLINE_ENV, "0")
-    assert not _inline_eligible(1)
-    monkeypatch.setenv(INLINE_ENV, "1")
-    assert _inline_eligible(64)
-    monkeypatch.delenv(INLINE_ENV)
-    # Without the override, eligibility is "one effective worker".
-    assert _inline_eligible(1)
-    assert _inline_eligible(4) == (effective_workers(4) == 1)
-
-
-# -- the inline lease ------------------------------------------------------------
-
-
-def test_inline_lease_submit_returns_future_result():
-    lease = InlineLease()
-    future = lease.submit(lambda x: x * 3, 7)
-    assert future.result() == 21
-    lease.shutdown()
-
-
-def test_inline_lease_captures_exceptions_in_future():
-    lease = InlineLease()
-    future = lease.submit(lambda: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        future.result()
-
-
-def test_manager_acquire_inline_counts_models(monkeypatch):
-    monkeypatch.setenv(INLINE_ENV, "1")
-    name, source = _spec()
+def test_manager_leases_real_processes():
+    # Every lease is a real executor the supervisor can kill.
     manager = PoolManager()
     try:
-        lease = manager.acquire(
-            jobs=4, context=None, warm=(name, source), allow_inline=True
-        )
-        assert isinstance(lease, InlineLease)
-        assert manager.stats()["inline_models"] == 1
-        # The warm spec is memoized: a second lease is a reuse, not a
-        # second prewarm.
-        again = manager.acquire(
-            jobs=4, context=None, warm=(name, source), allow_inline=True
-        )
-        assert isinstance(again, InlineLease)
-        assert manager.stats()["inline_models"] == 1
-    finally:
-        manager.shutdown()
-
-
-def test_manager_refuses_inline_when_not_allowed(monkeypatch):
-    # Fault-injection callers pass allow_inline=False and must get a
-    # real executor they can kill, whatever the host looks like.
-    monkeypatch.setenv(INLINE_ENV, "1")
-    manager = PoolManager()
-    try:
-        lease = manager.acquire(jobs=2, context=None, warm=None, allow_inline=False)
-        assert not isinstance(lease, InlineLease)
+        lease = manager.acquire(jobs=2, context=None, warm=None)
         assert lease._processes is not None
+        assert lease.submit(abs, -3).result(timeout=60) == 3
     finally:
         manager.shutdown()
 
@@ -128,20 +75,35 @@ def test_manager_refuses_inline_when_not_allowed(monkeypatch):
 # -- builds through the pool -----------------------------------------------------
 
 
-def test_persistent_and_ephemeral_pools_agree_byte_for_byte():
+def test_pooled_build_agrees_byte_for_byte():
     program = workload(62)
-    serial = build(program, jobs=1)
-    assert build(program, jobs=4, persistent_pool=True) == serial
-    assert build(program, jobs=4, persistent_pool=False) == serial
+    assert build(program, jobs=4) == build(program, jobs=1)
 
 
-def test_forced_real_pool_agrees_with_inline(monkeypatch):
+def test_one_cpu_host_builds_serially(one_cpu):
     program = workload(63)
-    monkeypatch.setenv(INLINE_ENV, "1")
-    inline = build(program, jobs=2, cache=ScheduleCache())
-    monkeypatch.setenv(INLINE_ENV, "0")
-    pooled = build(program, jobs=2, cache=ScheduleCache())
-    assert inline == pooled == build(program, jobs=1)
+    transform = make_transform(MACHINE, POLICY, options=ParallelOptions(jobs=4))
+    assert type(transform) is BlockScheduler
+    assert transform.cache is None
+    before = pool_stats()
+    text = build(program, jobs=4)
+    assert not warm_pool(MACHINE, jobs=4)
+    after = pool_stats()
+    assert (after["spawns"], after["reuses"]) == (before["spawns"], before["reuses"])
+    assert text == build(program, jobs=1)
+
+
+def test_one_cpu_host_chaos_still_crashes_a_real_worker(one_cpu, tmp_path):
+    from repro.robust import run_chaos_suite
+
+    report = run_chaos_suite(
+        MACHINE, only=("crash-worker",), shard_deadline_s=30.0,
+        workdir=str(tmp_path),
+    )
+    (outcome,) = report.outcomes
+    assert outcome.injected >= 1, outcome.details
+    assert outcome.contained == outcome.injected
+    assert outcome.byte_identical
 
 
 def test_shared_manager_reuses_across_builds():

@@ -336,7 +336,7 @@ def test_docstring_covers_every_subcommand_and_new_flags():
     )
     for name in subparsers.choices:
         assert name in cli.__doc__, f"docstring does not mention {name!r}"
-    for flag in ("--jobs", "--cache", "--safe", "--fail-on"):
+    for flag in ("--jobs", "--safe", "--fail-on"):
         assert flag in cli.__doc__, f"docstring does not mention {flag!r}"
 
 
