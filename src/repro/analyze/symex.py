@@ -49,6 +49,7 @@ from ..errors import ReproError
 from ..isa.instruction import Instruction
 from ..isa.machine_state import MASK32
 from ..isa.opcodes import Category
+from ..isa.semantics import sdiv_result, udiv_result
 
 SIGN_BIT = 0x80000000
 
@@ -141,13 +142,9 @@ def _signed(value: int) -> int:
     return value - (1 << 32) if value & SIGN_BIT else value
 
 
-def _signed64(value: int) -> int:
-    value &= (1 << 64) - 1
-    return value - (1 << 64) if value & (1 << 63) else value
-
-
 #: Binary integer operators folded when both arguments are constants.
-#: Each mirrors the corresponding branch of ``repro.isa.semantics``.
+#: Each mirrors the corresponding entry of ``repro.isa.semantics``'s
+#: table; ``udiv`` and ``sdiv`` fold through its own division helpers.
 _FOLD2 = {
     "add": lambda a, b: (a + b) & MASK32,
     "sub": lambda a, b: (a - b) & MASK32,
@@ -193,13 +190,11 @@ def app(op: str, *args: Term) -> Term:
     if op == "udiv" and all(a.is_const for a in args):
         y, a, b = (t.value for t in args)
         if b != 0:
-            return const(min(((y << 32) | a) // b, MASK32))
+            return const(udiv_result(y, a, b))
     if op == "sdiv" and all(a.is_const for a in args):
         y, a, b = (t.value for t in args)
-        divisor = _signed(b)
-        if divisor != 0:
-            quotient = int(_signed64((y << 32) | a) / divisor)
-            return const(max(-(1 << 31), min(quotient, (1 << 31) - 1)))
+        if _signed(b) != 0:
+            return const(sdiv_result(y, a, b))
 
     # Address-arithmetic canonicalization: constants ride on the right
     # of an ``add`` and nested immediates merge, so a ``sethi``-based
@@ -507,8 +502,8 @@ def _side(inst: Instruction) -> str:
 
 
 def sym_execute(state: SymbolicState, inst: Instruction, *, index: int = 0) -> None:
-    """Apply ``inst`` symbolically, mirroring
-    :func:`repro.isa.semantics.execute` branch for branch."""
+    """Apply ``inst`` symbolically, mirroring the concrete semantics
+    table of :mod:`repro.isa.semantics` mnemonic for mnemonic."""
     if inst.is_control:
         raise SymexUnsupported(
             f"control transfer {inst.mnemonic} has no straight-line semantics"

@@ -73,12 +73,15 @@ class Instruction:
                 )
 
     def __getstate__(self) -> dict:
-        """Pickle without ``_timing_memo``: it holds the machine model
-        (:meth:`~repro.spawn.model.MachineModel.timing`), whose compiled
-        evaluator does not pickle. Unpickling restores the fields as
-        they were, without re-running operand validation."""
+        """Pickle without ``_timing_memo`` or ``_step``: the first holds
+        the machine model (:meth:`~repro.spawn.model.MachineModel.timing`),
+        whose compiled evaluator does not pickle, and the second the
+        bound step (:func:`~repro.isa.semantics.step_of`), a closure.
+        Unpickling restores the fields as they were, without re-running
+        operand validation."""
         state = dict(self.__dict__)
         state.pop("_timing_memo", None)
+        state.pop("_step", None)
         return state
 
     # -- static properties -------------------------------------------------

@@ -59,10 +59,29 @@ class Memory:
             self.write_byte(address + offset, (value >> shift) & 0xFF)
 
     def read_word(self, address: int) -> int:
-        return self.read(address, 4)
+        """``read(address, 4)``, unrolled: the simulator's word loads
+        reach the byte store without a call per byte."""
+        if address & 3:
+            raise MemoryFault(f"misaligned 4-byte access at {address:#x}")
+        get = self._bytes.get
+        address &= MASK32
+        return (
+            get(address, 0) << 24
+            | get(address + 1, 0) << 16
+            | get(address + 2, 0) << 8
+            | get(address + 3, 0)
+        )
 
     def write_word(self, address: int, value: int) -> None:
-        self.write(address, value, 4)
+        """``write(address, value, 4)``, unrolled like :meth:`read_word`."""
+        if address & 3:
+            raise MemoryFault(f"misaligned 4-byte access at {address:#x}")
+        store = self._bytes
+        address &= MASK32
+        store[address] = value >> 24 & 0xFF
+        store[address + 1] = value >> 16 & 0xFF
+        store[address + 2] = value >> 8 & 0xFF
+        store[address + 3] = value & 0xFF
 
     def load_bytes(self, address: int, data: bytes) -> None:
         for offset, byte in enumerate(data):

@@ -1,21 +1,37 @@
 """Functional (architectural) semantics for the supported SPARC V8 subset.
 
-:func:`execute` applies one instruction to a :class:`MachineState`. The
-:class:`Simulator` in :mod:`repro.isa.simulator` drives it with full
-``pc``/``npc`` delayed-control-transfer semantics; scheduler tests call
-:func:`run_straightline` to compare architectural effects of instruction
-orderings.
+The semantics is one table, :data:`_BINDERS`: for every mnemonic, a
+binder that reads one instruction's operands once — the register
+indices, the immediate, which source or destination is ``%g0`` — and
+returns a *step*, a function that applies that instruction to a
+:class:`MachineState`. :func:`step_of` memoizes the step on the
+instruction (instructions are immutable), so an instruction is bound
+once however often it runs. Everything that executes instructions runs
+these steps: :func:`execute` (one instruction), :func:`run_straightline`
+(the verification ladder's dynamic gate, the symbolic gate's
+confirmation, the superblock check, the scheduler's differential tests)
+and the :class:`~repro.isa.simulator.Simulator`, which runs each
+straight-line segment of a program as a tuple of steps.
+
+Binding never raises. What can fault — a misaligned address, an odd
+double register, a zero divisor, a control transfer outside the
+simulator — raises when the step runs, as the running instruction's
+fault.
 
 Fidelity notes: all integer arithmetic wraps at 32 bits, condition codes
-follow the V8 manual (including carry-as-borrow for subtract), singles
-are truncated through an actual IEEE binary32 round-trip, and ``%g0``
-stays zero. Traps (divide by zero, misalignment) raise Python exceptions
-rather than vectoring — no instrumented program we generate traps.
+follow the V8 manual (including carry-as-borrow for subtract), ``sdiv``
+divides exactly in integer arithmetic, singles are truncated through an
+actual IEEE binary32 round-trip, and ``%g0`` stays zero: a ``%g0``
+destination drops the register write and nothing else (``subcc %g0,
+…`` still sets icc). Traps (divide by zero, misalignment) raise Python
+exceptions rather than vectoring — no instrumented program we generate
+traps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from typing import Callable
 
@@ -28,10 +44,13 @@ from .machine_state import (
     MASK32,
     MachineState,
 )
-from .opcodes import Category, Format
+from .opcodes import all_mnemonics, lookup
 from ..errors import ReproError
 
 SIGN_BIT = 0x80000000
+
+#: One instruction, bound: applies its effect to a machine state.
+Step = Callable[[MachineState], None]
 
 
 class SemanticsError(ReproError):
@@ -43,6 +62,30 @@ def _signed(value: int) -> int:
     return value - (1 << 32) if value & SIGN_BIT else value
 
 
+def _signed64(value: int) -> int:
+    value &= (1 << 64) - 1
+    return value - (1 << 64) if value & (1 << 63) else value
+
+
+def udiv_result(y: int, a: int, b: int) -> int:
+    """What ``udiv`` writes: ``%y:a`` over a nonzero ``b``, unsigned,
+    saturated to 32 bits."""
+    return min(((y << 32) | a) // b, MASK32)
+
+
+def sdiv_result(y: int, a: int, b: int) -> int:
+    """What ``sdiv`` writes: ``%y:a`` over ``b`` (nonzero as a signed
+    word), both signed, truncated toward zero and clamped to the signed
+    32-bit range, as a 32-bit pattern. The quotient is exact integer
+    arithmetic: a float quotient rounds dividends above 2**53."""
+    dividend = _signed64((y << 32) | a)
+    divisor = _signed(b)
+    quotient = abs(dividend) // abs(divisor)
+    if (dividend < 0) != (divisor < 0):
+        quotient = -quotient
+    return max(-(1 << 31), min(quotient, (1 << 31) - 1)) & MASK32
+
+
 def _src2(state: MachineState, inst: Instruction) -> int:
     if inst.imm is not None:
         return inst.imm & MASK32
@@ -51,264 +94,301 @@ def _src2(state: MachineState, inst: Instruction) -> int:
     return state.get_reg(inst.rs2.index)
 
 
-def _set_icc_add(state: MachineState, a: int, b: int, result: int) -> None:
+# -- condition codes ----------------------------------------------------------------
+
+
+def _icc_add(state: MachineState, a: int, b: int, result: int) -> None:
     state.icc_n = bool(result & SIGN_BIT)
     state.icc_z = (result & MASK32) == 0
     state.icc_v = bool((~(a ^ b)) & (a ^ result) & SIGN_BIT)
     state.icc_c = (a + b) > MASK32
 
 
-def _set_icc_sub(state: MachineState, a: int, b: int, result: int) -> None:
+def _icc_sub(state: MachineState, a: int, b: int, result: int) -> None:
     state.icc_n = bool(result & SIGN_BIT)
     state.icc_z = (result & MASK32) == 0
     state.icc_v = bool((a ^ b) & (a ^ result) & SIGN_BIT)
     state.icc_c = b > a  # borrow
 
-def _set_icc_logic(state: MachineState, result: int) -> None:
+
+def _icc_logic(state: MachineState, a: int, b: int, result: int) -> None:
     state.icc_n = bool(result & SIGN_BIT)
     state.icc_z = (result & MASK32) == 0
     state.icc_v = False
     state.icc_c = False
 
 
-_LOGIC_OPS: dict[str, Callable[[int, int], int]] = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "andn": lambda a, b: a & ~b,
-    "orn": lambda a, b: a | ~b,
-    "xnor": lambda a, b: ~(a ^ b),
-}
-
-_MEM_SIZES = {
-    "ld": 4,
-    "ldub": 1,
-    "lduh": 2,
-    "ldsb": 1,
-    "ldsh": 2,
-    "st": 4,
-    "stb": 1,
-    "sth": 2,
-    "ldf": 4,
-    "stf": 4,
-}
+# -- binding --------------------------------------------------------------------------
 
 
-def _effective_address(state: MachineState, inst: Instruction) -> int:
-    base = state.get_reg(inst.rs1.index) if inst.rs1 is not None else 0
-    return (base + _src2(state, inst)) & MASK32
+def step_of(inst: Instruction) -> Step:
+    """``inst``'s bound step, memoized on the instruction. Pickling
+    leaves the memo out (:meth:`Instruction.__getstate__`): a step is a
+    closure."""
+    try:
+        return inst._step
+    except AttributeError:
+        pass
+    try:
+        step = _BINDERS[inst.mnemonic](inst)
+    except AttributeError as exc:  # an operand the mnemonic needs is missing
+        step = _faulting(AttributeError, str(exc))
+    object.__setattr__(inst, "_step", step)
+    return step
 
 
-def execute(state: MachineState, inst: Instruction) -> None:
-    """Apply ``inst``'s architectural effect to ``state``.
-
-    Control-transfer instructions are rejected here — the simulator
-    handles them because they involve ``pc``/``npc``; straight-line
-    callers (the scheduler's differential tests) never contain them.
-    """
-    if inst.is_control:
-        raise SemanticsError(f"control transfer {inst.mnemonic} needs the simulator")
-    m = inst.mnemonic
-    cat = inst.category
-
-    if cat is Category.NOP:
-        return
-
-    if cat is Category.SETHI:
-        state.set_reg(inst.rd.index, (inst.imm or 0) << 10)
-        return
-
-    if cat in (Category.IALU, Category.SHIFT, Category.IMUL, Category.IDIV):
-        _execute_integer(state, inst)
-        return
-
-    if cat in (Category.LOAD, Category.FPLOAD):
-        _execute_load(state, inst)
-        return
-
-    if cat in (Category.STORE, Category.FPSTORE):
-        _execute_store(state, inst)
-        return
-
-    _execute_fp(state, inst)
+def _sources(inst: Instruction) -> tuple[int, int, int]:
+    """``(k1, k2, c2)``: the first source is ``regs[k1]`` when ``k1``
+    is nonzero and 0 otherwise (no ``rs1``, or ``%g0``); the second is
+    ``regs[k2]`` when ``k2`` is nonzero and ``c2`` otherwise (the
+    immediate as a 32-bit pattern, or 0)."""
+    k1 = inst.rs1.index if inst.rs1 is not None else 0
+    if inst.imm is not None:
+        return k1, 0, inst.imm & MASK32
+    return k1, inst.rs2.index if inst.rs2 is not None else 0, 0
 
 
-def _execute_integer(state: MachineState, inst: Instruction) -> None:
-    m = inst.mnemonic
-    a = state.get_reg(inst.rs1.index) if inst.rs1 is not None else 0
-    b = _src2(state, inst)
-
-    if m == "rdy":
-        state.set_reg(inst.rd.index, state.y)
-        return
-    if m == "wry":
-        state.y = (a ^ b) & MASK32
-        return
-
-    base = m[:-2] if m.endswith("cc") and m not in ("and",) else m
-    sets_cc = m.endswith("cc") and m != "and"
-
-    if base in ("add", "save", "restore"):
-        result = (a + b) & MASK32
-        if sets_cc:
-            _set_icc_add(state, a, b, result)
-    elif base == "addx":
-        result = (a + b + int(state.icc_c)) & MASK32
-    elif base == "sub":
-        result = (a - b) & MASK32
-        if sets_cc:
-            _set_icc_sub(state, a, b, result)
-    elif base == "subx":
-        result = (a - b - int(state.icc_c)) & MASK32
-    elif base in _LOGIC_OPS:
-        result = _LOGIC_OPS[base](a, b) & MASK32
-        if sets_cc:
-            _set_icc_logic(state, result)
-    elif base == "sll":
-        result = (a << (b & 31)) & MASK32
-    elif base == "srl":
-        result = (a >> (b & 31)) & MASK32
-    elif base == "sra":
-        result = (_signed(a) >> (b & 31)) & MASK32
-    elif base == "umul":
-        product = a * b
-        state.y = (product >> 32) & MASK32
-        result = product & MASK32
-    elif base == "smul":
-        product = _signed(a) * _signed(b)
-        state.y = (product >> 32) & MASK32
-        result = product & MASK32
-        if sets_cc:
-            _set_icc_logic(state, result)
-    elif base == "udiv":
-        dividend = (state.y << 32) | a
-        if b == 0:
-            raise SemanticsError("udiv by zero")
-        result = min(dividend // b, MASK32)
-    elif base == "sdiv":
-        dividend = _signed64((state.y << 32) | a)
-        divisor = _signed(b)
-        if divisor == 0:
-            raise SemanticsError("sdiv by zero")
-        quotient = int(dividend / divisor)  # trunc toward zero
-        result = max(-(1 << 31), min(quotient, (1 << 31) - 1)) & MASK32
-    else:  # pragma: no cover - table and dispatch are kept in sync
-        raise SemanticsError(f"no integer semantics for {m}")
-
-    if inst.rd is not None:
-        state.set_reg(inst.rd.index, result)
+def _dest(inst: Instruction) -> int:
+    """The integer register ``inst`` writes; 0 (``%g0``, or none)
+    drops the write."""
+    return inst.rd.index if inst.rd is not None else 0
 
 
-def _signed64(value: int) -> int:
-    value &= (1 << 64) - 1
-    return value - (1 << 64) if value & (1 << 63) else value
+def _nop(state: MachineState) -> None:
+    return None
 
 
-def _execute_load(state: MachineState, inst: Instruction) -> None:
-    m = inst.mnemonic
-    addr = _effective_address(state, inst)
-    mem = state.memory
-    if m in ("ld", "ldub", "lduh"):
-        state.set_reg(inst.rd.index, mem.read(addr, _MEM_SIZES[m]))
-    elif m == "ldsb":
-        value = mem.read(addr, 1)
-        state.set_reg(inst.rd.index, value - 0x100 if value & 0x80 else value)
-    elif m == "ldsh":
-        value = mem.read(addr, 2)
-        state.set_reg(inst.rd.index, value - 0x10000 if value & 0x8000 else value)
-    elif m == "ldd":
-        state.set_reg(inst.rd.index, mem.read(addr, 4))
-        state.set_reg(inst.rd.index | 1, mem.read(addr + 4, 4))
-    elif m == "ldf":
-        state.set_freg(inst.rd.index, mem.read(addr, 4))
-    elif m == "lddf":
-        state.set_freg(inst.rd.index, mem.read(addr, 4))
-        state.set_freg(inst.rd.index + 1, mem.read(addr + 4, 4))
-    else:  # pragma: no cover
-        raise SemanticsError(f"no load semantics for {m}")
+def _faulting(kind: type[Exception], message: str) -> Step:
+    def step(state: MachineState) -> None:
+        raise kind(message)
+
+    return step
 
 
-def _execute_store(state: MachineState, inst: Instruction) -> None:
-    m = inst.mnemonic
-    addr = _effective_address(state, inst)
-    mem = state.memory
-    if m in ("st", "stb", "sth"):
-        mem.write(addr, state.get_reg(inst.rd.index), _MEM_SIZES[m])
-    elif m == "std":
-        mem.write(addr, state.get_reg(inst.rd.index), 4)
-        mem.write(addr + 4, state.get_reg(inst.rd.index | 1), 4)
-    elif m == "stf":
-        mem.write(addr, state.get_freg(inst.rd.index), 4)
-    elif m == "stdf":
-        mem.write(addr, state.get_freg(inst.rd.index), 4)
-        mem.write(addr + 4, state.get_freg(inst.rd.index + 1), 4)
-    else:  # pragma: no cover
-        raise SemanticsError(f"no store semantics for {m}")
+def _bind_control(inst: Instruction) -> Step:
+    return _faulting(
+        SemanticsError, f"control transfer {inst.mnemonic} needs the simulator"
+    )
 
 
-def _execute_fp(state: MachineState, inst: Instruction) -> None:
-    m = inst.mnemonic
-    single = m.endswith("s") and m not in ("fdtos", "fitos")
-    get = state.get_single if m[-1] == "s" else state.get_double
-    put = state.set_single if m[-1] == "s" else state.set_double
+def _bind_sethi(inst: Instruction) -> Step:
+    rd = _dest(inst)
+    value = ((inst.imm or 0) << 10) & MASK32
+    if not rd:
+        return _nop
 
-    if m in ("fmovs", "fnegs", "fabss"):
-        pattern = state.get_freg(inst.rs2.index)
-        if m == "fnegs":
-            pattern ^= SIGN_BIT
-        elif m == "fabss":
-            pattern &= ~SIGN_BIT & MASK32
-        state.set_freg(inst.rd.index, pattern)
-        return
+    def step(state: MachineState) -> None:
+        state.regs[rd] = value
 
-    if m in ("fcmps", "fcmpd"):
-        a = (state.get_single if m == "fcmps" else state.get_double)(inst.rs1.index)
-        b = (state.get_single if m == "fcmps" else state.get_double)(inst.rs2.index)
-        if math.isnan(a) or math.isnan(b):
-            state.fcc = FCC_UNORDERED
-        elif a == b:
-            state.fcc = FCC_EQUAL
-        elif a < b:
-            state.fcc = FCC_LESS
-        else:
-            state.fcc = FCC_GREATER
-        return
+    return step
 
-    if m in ("fsqrts", "fsqrtd"):
-        value = get(inst.rs2.index)
-        put(inst.rd.index, math.sqrt(value) if value >= 0 else float("nan"))
-        return
 
-    if m in ("fitos", "fitod"):
-        pattern = state.get_freg(inst.rs2.index)
-        put(inst.rd.index, float(_signed(pattern)))
-        return
-    if m in ("fstoi", "fdtoi"):
-        value = state.get_single(inst.rs2.index) if m == "fstoi" else state.get_double(inst.rs2.index)
-        state.set_freg(inst.rd.index, int(value) & MASK32 if math.isfinite(value) else 0)
-        return
-    if m == "fstod":
-        state.set_double(inst.rd.index, state.get_single(inst.rs2.index))
-        return
-    if m == "fdtos":
-        state.set_single(inst.rd.index, state.get_double(inst.rs2.index))
-        return
+# -- integer ----------------------------------------------------------------------------
 
-    binary = {
-        "fadds": lambda a, b: a + b,
-        "faddd": lambda a, b: a + b,
-        "fsubs": lambda a, b: a - b,
-        "fsubd": lambda a, b: a - b,
-        "fmuls": lambda a, b: a * b,
-        "fmuld": lambda a, b: a * b,
-        "fdivs": _fp_div,
-        "fdivd": _fp_div,
-    }
-    if m not in binary:  # pragma: no cover
-        raise SemanticsError(f"no FP semantics for {m}")
-    a = get(inst.rs1.index)
-    b = get(inst.rs2.index)
-    put(inst.rd.index, binary[m](a, b))
+
+def _alu(op: Callable[[int, int], int]) -> Callable[[Instruction], Step]:
+    """Binder of a two-source operation that writes ``op(a, b)``."""
+
+    def bind(inst: Instruction) -> Step:
+        k1, k2, c2 = _sources(inst)
+        rd = _dest(inst)
+        if not rd:
+            return _nop
+
+        def step(state: MachineState) -> None:
+            regs = state.regs
+            regs[rd] = op(regs[k1] if k1 else 0, regs[k2] if k2 else c2) & MASK32
+
+        return step
+
+    return bind
+
+
+def _alu_cc(
+    op: Callable[[int, int], int], icc: Callable[[MachineState, int, int, int], None]
+) -> Callable[[Instruction], Step]:
+    """Binder of a two-source operation that also sets icc."""
+
+    def bind(inst: Instruction) -> Step:
+        k1, k2, c2 = _sources(inst)
+        rd = _dest(inst)
+
+        def step(state: MachineState) -> None:
+            regs = state.regs
+            a = regs[k1] if k1 else 0
+            b = regs[k2] if k2 else c2
+            result = op(a, b) & MASK32
+            icc(state, a, b, result)
+            if rd:
+                regs[rd] = result
+
+        return step
+
+    return bind
+
+
+def _with_carry(sign: int) -> Callable[[Instruction], Step]:
+    """``addx`` (``sign`` 1) and ``subx`` (-1): ``a ± (b + icc.c)``."""
+
+    def bind(inst: Instruction) -> Step:
+        k1, k2, c2 = _sources(inst)
+        rd = _dest(inst)
+        if not rd:
+            return _nop
+
+        def step(state: MachineState) -> None:
+            regs = state.regs
+            b = (regs[k2] if k2 else c2) + int(state.icc_c)
+            regs[rd] = ((regs[k1] if k1 else 0) + sign * b) & MASK32
+
+        return step
+
+    return bind
+
+
+def _multiply(signed: bool, sets_cc: bool) -> Callable[[Instruction], Step]:
+    """``umul``, ``smul`` and ``smulcc``: the high word goes to Y."""
+
+    def bind(inst: Instruction) -> Step:
+        k1, k2, c2 = _sources(inst)
+        rd = _dest(inst)
+
+        def step(state: MachineState) -> None:
+            regs = state.regs
+            a = regs[k1] if k1 else 0
+            b = regs[k2] if k2 else c2
+            product = _signed(a) * _signed(b) if signed else a * b
+            state.y = (product >> 32) & MASK32
+            result = product & MASK32
+            if sets_cc:
+                _icc_logic(state, a, b, result)
+            if rd:
+                regs[rd] = result
+
+        return step
+
+    return bind
+
+
+def _divide(
+    name: str, result_of: Callable[[int, int, int], int], zero: Callable[[int], bool]
+) -> Callable[[Instruction], Step]:
+    """``udiv`` and ``sdiv``: ``%y:a`` over ``b``; a zero divisor
+    faults."""
+
+    def bind(inst: Instruction) -> Step:
+        k1, k2, c2 = _sources(inst)
+        rd = _dest(inst)
+
+        def step(state: MachineState) -> None:
+            regs = state.regs
+            b = regs[k2] if k2 else c2
+            if zero(b):
+                raise SemanticsError(f"{name} by zero")
+            result = result_of(state.y, regs[k1] if k1 else 0, b)
+            if rd:
+                regs[rd] = result
+
+        return step
+
+    return bind
+
+
+def _bind_rdy(inst: Instruction) -> Step:
+    rd = _dest(inst)
+    if not rd:
+        return _nop
+
+    def step(state: MachineState) -> None:
+        state.regs[rd] = state.y & MASK32
+
+    return step
+
+
+def _bind_wry(inst: Instruction) -> Step:
+    k1, k2, c2 = _sources(inst)
+
+    def step(state: MachineState) -> None:
+        regs = state.regs
+        state.y = ((regs[k1] if k1 else 0) ^ (regs[k2] if k2 else c2)) & MASK32
+
+    return step
+
+
+# -- memory -------------------------------------------------------------------------------
+
+
+def _load(size: int, *, fp: bool = False, sign_bit: int = 0) -> Callable[[Instruction], Step]:
+    """Binder of a load of ``size`` bytes into an integer or (``fp``)
+    an FP register; 8 is a doubleword into a register pair, and
+    ``sign_bit`` sign-extends a byte or halfword. Words reach the byte
+    store through ``Memory.read_word``, without a call per byte. A
+    doubleword's second word sits at ``address + 4``, wrapping at
+    2**32; ``ldd`` into ``%g0`` still writes ``%g1``."""
+
+    def bind(inst: Instruction) -> Step:
+        k1, k2, c2 = _sources(inst)
+        rd = inst.rd.index
+        second = rd + 1 if fp else rd | 1
+        keep = fp or rd != 0
+
+        def step(state: MachineState) -> None:
+            regs = state.regs
+            address = ((regs[k1] if k1 else 0) + (regs[k2] if k2 else c2)) & MASK32
+            memory = state.memory
+            target = state.fregs if fp else regs
+            if size >= 4:
+                value = memory.read_word(address)
+            else:
+                value = memory.read(address, size)
+                if value & sign_bit:
+                    value = (value - (sign_bit << 1)) & MASK32
+            if keep:
+                target[rd] = value
+            if size == 8:
+                target[second] = memory.read_word((address + 4) & MASK32)
+
+        return step
+
+    return bind
+
+
+def _store(size: int, *, fp: bool = False) -> Callable[[Instruction], Step]:
+    """Binder of a store of ``size`` bytes, laid out as :func:`_load`
+    reads them; ``%g0`` stores zero."""
+
+    def bind(inst: Instruction) -> Step:
+        k1, k2, c2 = _sources(inst)
+        rd = inst.rd.index
+        second = rd + 1 if fp else rd | 1
+        zero = not fp and rd == 0
+
+        def step(state: MachineState) -> None:
+            regs = state.regs
+            address = ((regs[k1] if k1 else 0) + (regs[k2] if k2 else c2)) & MASK32
+            memory = state.memory
+            source = state.fregs if fp else regs
+            value = 0 if zero else source[rd]
+            if size >= 4:
+                memory.write_word(address, value)
+            else:
+                memory.write(address, value, size)
+            if size == 8:
+                memory.write_word((address + 4) & MASK32, source[second])
+
+        return step
+
+    return bind
+
+
+# -- floating point ------------------------------------------------------------------------
+
+_WORDS = struct.Struct(">II")
+_DOUBLE = struct.Struct(">d")
+_pack_words = _WORDS.pack
+_unpack_words = _WORDS.unpack
+_pack_double = _DOUBLE.pack
+_unpack_double = _DOUBLE.unpack
 
 
 def _fp_div(a: float, b: float) -> float:
@@ -319,6 +399,195 @@ def _fp_div(a: float, b: float) -> float:
     return a / b
 
 
+def _fp_move(pattern_of: Callable[[int], int]) -> Callable[[Instruction], Step]:
+    """``fmovs``, ``fnegs`` and ``fabss``: bit operations on a single."""
+
+    def bind(inst: Instruction) -> Step:
+        rs2, rd = inst.rs2.index, inst.rd.index
+
+        def step(state: MachineState) -> None:
+            fregs = state.fregs
+            fregs[rd] = pattern_of(fregs[rs2]) & MASK32
+
+        return step
+
+    return bind
+
+
+def _fp_binary(op: Callable[[float, float], float], double: bool):
+    """``fadd``, ``fsub``, ``fmul`` and ``fdiv`` in either width. A
+    double whose registers are all even converts its register pairs
+    inline; otherwise the state's accessors raise the odd register."""
+
+    def bind(inst: Instruction) -> Step:
+        rs1, rs2, rd = inst.rs1.index, inst.rs2.index, inst.rd.index
+        if double and not (rs1 | rs2 | rd) & 1:
+
+            def step(state: MachineState) -> None:
+                fregs = state.fregs
+                (a,) = _unpack_double(_pack_words(fregs[rs1], fregs[rs1 + 1]))
+                (b,) = _unpack_double(_pack_words(fregs[rs2], fregs[rs2 + 1]))
+                fregs[rd], fregs[rd + 1] = _unpack_words(_pack_double(op(a, b)))
+
+            return step
+        get = MachineState.get_double if double else MachineState.get_single
+        put = MachineState.set_double if double else MachineState.set_single
+
+        def step(state: MachineState) -> None:
+            a = get(state, rs1)
+            b = get(state, rs2)
+            put(state, rd, op(a, b))
+
+        return step
+
+    return bind
+
+
+def _fp_compare(double: bool) -> Callable[[Instruction], Step]:
+    def bind(inst: Instruction) -> Step:
+        rs1, rs2 = inst.rs1.index, inst.rs2.index
+        get = MachineState.get_double if double else MachineState.get_single
+
+        def step(state: MachineState) -> None:
+            a = get(state, rs1)
+            b = get(state, rs2)
+            if math.isnan(a) or math.isnan(b):
+                state.fcc = FCC_UNORDERED
+            elif a == b:
+                state.fcc = FCC_EQUAL
+            elif a < b:
+                state.fcc = FCC_LESS
+            else:
+                state.fcc = FCC_GREATER
+
+        return step
+
+    return bind
+
+
+def _fp_unary(
+    get: Callable[[MachineState, int], float | int],
+    put: Callable[[MachineState, int, float | int], None],
+    convert: Callable,
+) -> Callable[[Instruction], Step]:
+    """A one-source FP operation: ``put(rd, convert(get(rs2)))``."""
+
+    def bind(inst: Instruction) -> Step:
+        rs2, rd = inst.rs2.index, inst.rd.index
+
+        def step(state: MachineState) -> None:
+            put(state, rd, convert(get(state, rs2)))
+
+        return step
+
+    return bind
+
+
+def _sqrt(value: float) -> float:
+    return math.sqrt(value) if value >= 0 else float("nan")
+
+
+def _to_int(value: float) -> int:
+    return int(value) & MASK32 if math.isfinite(value) else 0
+
+
+def _from_int(pattern: int) -> float:
+    return float(_signed(pattern))
+
+
+def _same(value):
+    return value
+
+
+_BINDERS: dict[str, Callable[[Instruction], Step]] = {
+    "nop": lambda inst: _nop,
+    "sethi": _bind_sethi,
+    # integer
+    "add": _alu(operator.add),
+    "save": _alu(operator.add),
+    "restore": _alu(operator.add),
+    "sub": _alu(operator.sub),
+    "and": _alu(operator.and_),
+    "or": _alu(operator.or_),
+    "xor": _alu(operator.xor),
+    "andn": _alu(lambda a, b: a & ~b),
+    "orn": _alu(lambda a, b: a | ~b),
+    "xnor": _alu(lambda a, b: ~(a ^ b)),
+    "sll": _alu(lambda a, b: a << (b & 31)),
+    "srl": _alu(lambda a, b: a >> (b & 31)),
+    "sra": _alu(lambda a, b: _signed(a) >> (b & 31)),
+    "addcc": _alu_cc(operator.add, _icc_add),
+    "subcc": _alu_cc(operator.sub, _icc_sub),
+    "andcc": _alu_cc(operator.and_, _icc_logic),
+    "orcc": _alu_cc(operator.or_, _icc_logic),
+    "xorcc": _alu_cc(operator.xor, _icc_logic),
+    "addx": _with_carry(1),
+    "subx": _with_carry(-1),
+    "umul": _multiply(signed=False, sets_cc=False),
+    "smul": _multiply(signed=True, sets_cc=False),
+    "smulcc": _multiply(signed=True, sets_cc=True),
+    "udiv": _divide("udiv", udiv_result, lambda b: b == 0),
+    "sdiv": _divide("sdiv", sdiv_result, lambda b: _signed(b) == 0),
+    "rdy": _bind_rdy,
+    "wry": _bind_wry,
+    # memory
+    "ld": _load(4),
+    "ldd": _load(8),
+    "ldf": _load(4, fp=True),
+    "lddf": _load(8, fp=True),
+    "ldub": _load(1),
+    "lduh": _load(2),
+    "ldsb": _load(1, sign_bit=0x80),
+    "ldsh": _load(2, sign_bit=0x8000),
+    "st": _store(4),
+    "std": _store(8),
+    "stf": _store(4, fp=True),
+    "stdf": _store(8, fp=True),
+    "stb": _store(1),
+    "sth": _store(2),
+    # floating point
+    "fmovs": _fp_move(_same),
+    "fnegs": _fp_move(lambda pattern: pattern ^ SIGN_BIT),
+    "fabss": _fp_move(lambda pattern: pattern & ~SIGN_BIT),
+    "fadds": _fp_binary(operator.add, double=False),
+    "faddd": _fp_binary(operator.add, double=True),
+    "fsubs": _fp_binary(operator.sub, double=False),
+    "fsubd": _fp_binary(operator.sub, double=True),
+    "fmuls": _fp_binary(operator.mul, double=False),
+    "fmuld": _fp_binary(operator.mul, double=True),
+    "fdivs": _fp_binary(_fp_div, double=False),
+    "fdivd": _fp_binary(_fp_div, double=True),
+    "fcmps": _fp_compare(double=False),
+    "fcmpd": _fp_compare(double=True),
+    "fsqrts": _fp_unary(MachineState.get_single, MachineState.set_single, _sqrt),
+    "fsqrtd": _fp_unary(MachineState.get_double, MachineState.set_double, _sqrt),
+    "fitos": _fp_unary(MachineState.get_freg, MachineState.set_single, _from_int),
+    "fitod": _fp_unary(MachineState.get_freg, MachineState.set_double, _from_int),
+    "fstoi": _fp_unary(MachineState.get_single, MachineState.set_freg, _to_int),
+    "fdtoi": _fp_unary(MachineState.get_double, MachineState.set_freg, _to_int),
+    "fstod": _fp_unary(MachineState.get_single, MachineState.set_double, _same),
+    "fdtos": _fp_unary(MachineState.get_double, MachineState.set_single, _same),
+}
+for _mnemonic in all_mnemonics():
+    if lookup(_mnemonic).is_control:
+        _BINDERS[_mnemonic] = _bind_control
+
+
+# -- running ---------------------------------------------------------------------------
+
+
+def execute(state: MachineState, inst: Instruction) -> None:
+    """Apply ``inst``'s architectural effect to ``state``: run its bound
+    step.
+
+    Control-transfer instructions fault here — the simulator handles
+    them because they involve ``pc``/``npc``; straight-line callers
+    (the verification gates, the scheduler's differential tests) never
+    contain them.
+    """
+    step_of(inst)(state)
+
+
 def run_straightline(state: MachineState, instructions: list[Instruction]) -> MachineState:
     """Execute a branch-free instruction sequence, returning ``state``.
 
@@ -327,5 +596,5 @@ def run_straightline(state: MachineState, instructions: list[Instruction]) -> Ma
     architectural state from any starting state.
     """
     for inst in instructions:
-        execute(state, inst)
+        step_of(inst)(state)
     return state

@@ -12,17 +12,34 @@ This simulator executes *architectural* semantics only — timing lives in
 ``pc``/``npc`` and branch annul bits follow the V8 manual: a conditional
 branch's delay slot is annulled only when the branch is untaken (or
 always, for ``ba,a``/``fba,a``).
+
+Instructions run as the steps :mod:`repro.isa.semantics` binds, each
+bound once (Shade's translate-once, cache-the-translation scheme). A
+run caches, per start address, the straight-line segment there — the
+instructions up to the next control transfer — as a tuple of bound
+steps, and runs it whole wherever execution flows sequentially into
+that address (``npc == pc + 4``). A control transfer runs alone,
+through :meth:`Simulator._execute_control`, and the run records the
+executed path there. A taken transfer's delay slot runs alone too; an
+untaken branch's slot is sequential, so the segment from it runs it.
+Every instruction runs alone in a run with an ``on_execute`` callback,
+and in a segment that would cross ``max_instructions``. A fault inside
+a segment leaves ``pc``/``npc`` at the faulting instruction, as running
+it alone does.
+The tests hold every run equal to a reference loop that runs each
+instruction alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import length_hint
 
 from .instruction import Instruction
 from .machine_state import MASK32, MachineState
 from .opcodes import Category, Format
-from .semantics import SemanticsError, _src2, execute
+from .semantics import SemanticsError, _src2, step_of
 
 #: Return-to-here address that cleanly stops simulation. Programs are
 #: started with ``%o7 = STOP_ADDRESS - 8`` so a final ``retl`` exits.
@@ -101,27 +118,54 @@ class Simulator:
             state = MachineState()
         state.pc, state.npc = entry, entry + 4
         state.set_reg(15, (STOP_ADDRESS - 8) & MASK32)  # %o7
+        code = self.code
         counts: Counter = Counter()
         executed = 0
         record = path.append if path is not None else None
         segment = entry  # where the current straight-line segment began
         delay_slot = -1  # the executed delay slot that runs next, if any
+        #: start address -> (steps, addresses) of the segment there;
+        #: None when every instruction runs alone, for ``on_execute``.
+        bound_segments: dict | None = {} if on_execute is None else None
 
-        while state.pc != STOP_ADDRESS:
+        while True:
+            pc = state.pc
+            if bound_segments is not None and state.npc == pc + 4:
+                bound = bound_segments.get(pc)
+                if bound is None:
+                    bound = bound_segments[pc] = self._bind_segment(pc)
+                steps, addresses = bound
+                size = len(steps)
+                if size and executed + size <= max_instructions:
+                    remaining = iter(steps)
+                    try:
+                        for step in remaining:
+                            step(state)
+                    except BaseException:
+                        # The fault is the step the iterator handed out last.
+                        pc = (pc + 4 * (size - 1 - length_hint(remaining))) & MASK32
+                        state.pc, state.npc = pc, (pc + 4) & MASK32
+                        raise
+                    executed += size
+                    if count_executions:
+                        counts.update(addresses)
+                    pc = state.pc = (pc + 4 * size) & MASK32
+                    state.npc = (pc + 4) & MASK32
+            if pc == STOP_ADDRESS:
+                break
             if executed >= max_instructions:
                 raise SimulationLimit(f"exceeded {max_instructions} instructions")
-            inst = self.code.get(state.pc)
+            inst = code.get(pc)
             if inst is None:
-                raise BadPC(f"no instruction at {state.pc:#x}")
+                raise BadPC(f"no instruction at {pc:#x}")
 
             executed += 1
             if count_executions:
-                counts[state.pc] += 1
+                counts[pc] += 1
             if on_execute is not None:
-                on_execute(state.pc, inst)
+                on_execute(pc, inst)
 
             if inst.is_control:
-                pc = state.pc
                 delay = self._execute_control(state, inst)
                 if record is not None:
                     if pc != delay_slot:
@@ -136,11 +180,26 @@ class Simulator:
                     else:
                         delay_slot, segment = -1, state.pc
             else:
-                execute(state, inst)
+                step_of(inst)(state)
                 state.pc, state.npc = state.npc, (state.npc + 4) & MASK32
 
         state.set_reg(15, 0)  # scrub the sentinel so states compare cleanly
         return RunResult(state=state, instructions_executed=executed, execution_counts=counts)
+
+    def _bind_segment(self, start: int) -> tuple[tuple, tuple]:
+        """The bound steps and addresses of the straight-line run of
+        instructions from ``start``: up to the first control transfer,
+        missing instruction or :data:`STOP_ADDRESS`, none past 2**32."""
+        steps, addresses = [], []
+        address = start
+        while address <= MASK32 and address != STOP_ADDRESS:
+            inst = self.code.get(address)
+            if inst is None or inst.is_control:
+                break
+            steps.append(step_of(inst))
+            addresses.append(address)
+            address += 4
+        return tuple(steps), tuple(addresses)
 
     # -- control transfer -------------------------------------------------------
 

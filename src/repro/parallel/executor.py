@@ -96,7 +96,7 @@ from ..robust.supervise import (
 from ..spawn.model import MachineModel
 from .cache import ScheduleCache
 from .fingerprint import region_digest, schedule_checksum
-from .pool import acquire_pool, effective_workers, warm_worker_model, worker_model
+from .pool import acquire_pool, effective_workers, warm_worker_model
 
 
 #: Smallest shard the adaptive chunker will cut: below this, the pickle
@@ -142,16 +142,6 @@ class ParallelOptions:
 
 
 # -- worker side -----------------------------------------------------------------
-
-
-def _worker_model(name: str, source: str) -> MachineModel:
-    """Rebuild (once per worker process) the model from its SADL source.
-
-    Delegates to the pool module's process-wide cache so persistent
-    workers keep models hot across builds — and, under ``fork``,
-    inherit entries the parent prewarmed before the pool spawned.
-    """
-    return worker_model(name, source)
 
 
 def _schedule_shard(payload):

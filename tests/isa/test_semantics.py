@@ -128,6 +128,19 @@ def test_udiv():
     assert state.get_reg(3) == 14
 
 
+def test_sdiv_divides_exactly():
+    """%y:rs1 = 0x0FFFFFFF_FFFFFFFF (2**60 - 1) over 2**30 truncates to
+    0x3FFFFFFF; a float quotient rounds the dividend up to 2**60."""
+    state = _state(r1=0xFFFFFFFF, r2=0x40000000)
+    state.y = 0x0FFFFFFF
+    execute(state, Instruction("sdiv", rd=r(3), rs1=r(1), rs2=r(2)))
+    assert state.get_reg(3) == 0x3FFFFFFF
+    state = _state(r1=1, r2=0x40000000)  # -(2**60 - 1): toward zero
+    state.y = 0xF0000000
+    execute(state, Instruction("sdiv", rd=r(3), rs1=r(1), rs2=r(2)))
+    assert state.get_reg(3) == -0x3FFFFFFF & MASK32
+
+
 def test_div_by_zero_raises():
     state = _state(r1=1, r2=0)
     with pytest.raises(SemanticsError):
