@@ -611,6 +611,7 @@ def _sym_load(state: SymbolicState, inst: Instruction, index: int) -> None:
     elif m == "ldf":
         state.set_freg(inst.rd.index, mem.load(side, addr, 4, index=index))
     elif m == "lddf":
+        _even_double(inst.rd.index)
         state.set_freg(inst.rd.index, mem.load(side, addr, 4, index=index))
         state.set_freg(
             inst.rd.index + 1,
@@ -637,6 +638,7 @@ def _sym_store(state: SymbolicState, inst: Instruction, index: int) -> None:
     elif m == "stf":
         mem.store(side, addr, 4, state.get_freg(inst.rd.index), index=index)
     elif m == "stdf":
+        _even_double(inst.rd.index)
         mem.store(side, addr, 4, state.get_freg(inst.rd.index), index=index)
         mem.store(
             side, app("add", addr, const(4)), 4,
@@ -646,15 +648,20 @@ def _sym_store(state: SymbolicState, inst: Instruction, index: int) -> None:
         raise SymexUnsupported(f"no store semantics for {m}")
 
 
-def _double_pair(state: SymbolicState, index: int) -> tuple[Term, Term]:
+def _even_double(index: int) -> None:
+    """Refuse an odd FP double register, which the concrete semantics
+    faults on, before anything is read or written."""
     if index % 2:
         raise SymexUnsupported(f"odd double register %f{index}")
+
+
+def _double_pair(state: SymbolicState, index: int) -> tuple[Term, Term]:
+    _even_double(index)
     return state.fregs[index], state.fregs[index + 1]
 
 
 def _set_double(state: SymbolicState, index: int, term64: Term) -> None:
-    if index % 2:
-        raise SymexUnsupported(f"odd double register %f{index}")
+    _even_double(index)
     state.set_freg(index, app("hi64", term64))
     state.set_freg(index + 1, app("lo64", term64))
 

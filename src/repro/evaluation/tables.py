@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..pipeline.tables import persist_learned
+from ..spawn.library import load_machine
 from ..workloads.spec95 import CFP95, CINT95
 from .experiment import BenchmarkResult, ExperimentConfig, run_profiling_experiment
 
@@ -93,11 +95,15 @@ def run_table(
     benchmarks: tuple[str, ...] | None = None,
     trip_count: int | None = None,
 ) -> TableResult:
-    """Reproduce one of the paper's tables (1, 2, or 3)."""
+    """Reproduce one of the paper's tables (1, 2, or 3). Afterwards the
+    stall-table states the rows learned are written back to the
+    machine's table store (:func:`repro.pipeline.tables.persist_learned`),
+    so the next process starts from them."""
     config = TABLE_CONFIGS[table]
     if trip_count is not None:
         config = replace(config, trip_count=trip_count)
     result = TableResult(table=table, config=config)
     for benchmark in benchmarks or (CINT95 + CFP95):
         result.rows.append(run_profiling_experiment(benchmark, config))
+    persist_learned(load_machine(config.machine))
     return result

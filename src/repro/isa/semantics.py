@@ -43,6 +43,7 @@ from .machine_state import (
     FCC_UNORDERED,
     MASK32,
     MachineState,
+    MemoryFault,
 )
 from .opcodes import all_mnemonics, lookup
 from ..errors import ReproError
@@ -318,17 +319,31 @@ def _bind_wry(inst: Instruction) -> Step:
 # -- memory -------------------------------------------------------------------------------
 
 
+def _odd_double(index: int) -> Step:
+    """The step of an FP doubleword load or store on odd register
+    ``index``: it faults as FP double arithmetic does, touching no
+    register or memory. (Integer ``ldd``/``std`` pair ``rd | 1``.)"""
+
+    def step(state: MachineState) -> None:
+        raise MemoryFault(f"odd double register %f{index}")
+
+    return step
+
+
 def _load(size: int, *, fp: bool = False, sign_bit: int = 0) -> Callable[[Instruction], Step]:
     """Binder of a load of ``size`` bytes into an integer or (``fp``)
     an FP register; 8 is a doubleword into a register pair, and
     ``sign_bit`` sign-extends a byte or halfword. Words reach the byte
     store through ``Memory.read_word``, without a call per byte. A
     doubleword's second word sits at ``address + 4``, wrapping at
-    2**32; ``ldd`` into ``%g0`` still writes ``%g1``."""
+    2**32; ``ldd`` into ``%g0`` still writes ``%g1``, and ``lddf`` into
+    an odd register faults before it reads or writes anything."""
 
     def bind(inst: Instruction) -> Step:
         k1, k2, c2 = _sources(inst)
         rd = inst.rd.index
+        if fp and size == 8 and rd & 1:
+            return _odd_double(rd)
         second = rd + 1 if fp else rd | 1
         keep = fp or rd != 0
 
@@ -360,6 +375,8 @@ def _store(size: int, *, fp: bool = False) -> Callable[[Instruction], Step]:
     def bind(inst: Instruction) -> Step:
         k1, k2, c2 = _sources(inst)
         rd = inst.rd.index
+        if fp and size == 8 and rd & 1:
+            return _odd_double(rd)
         second = rd + 1 if fp else rd | 1
         zero = not fp and rd == 0
 

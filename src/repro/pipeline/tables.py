@@ -39,23 +39,46 @@ The *reachable* subset of that space is still far too large to
 enumerate eagerly on real machines (the shipped SPARC models blow
 through 100k states while a breadth-first frontier is still growing),
 so the compiler is demand-driven: a small deterministic breadth-first
-prefix is compiled the first time the model's tables are used (and
-persisted under the model's content digest so parallel workers and
-later processes reuse it), and every state actually visited during
-scheduling and timing is interned and its transitions memoized on
-first use. Once ``budget`` distinct states have been interned, new
-states stop being recorded and queries from unknown states fall back
-to the interpreted walker (counted as ``pipeline.table_fallbacks``, or
-in ``PipelineTables.misses`` for a lean stream); tracking resumes for
-free once the pipeline drains. A machine with more than 255 copies of
-a unit does not fit the state encoding: its tables stay empty and
-every query falls back the same way.
+prefix is compiled the first time the model's tables are used, and
+every state actually visited during scheduling and timing is interned
+and its transitions memoized on first use. Both are persisted under
+the model's content digest (below), so parallel workers and later
+processes start from them. Once ``budget`` distinct states have been
+interned, new states stop being recorded and queries from unknown
+states fall back to the interpreted walker (counted as
+``pipeline.table_fallbacks``, or in ``PipelineTables.misses`` for a
+lean stream); tracking resumes for free once the pipeline drains. A
+machine with more than 255 copies of a unit does not fit the state
+encoding: its tables stay empty and every query falls back the same
+way.
 
 Transitions are *computed by the interpreted walker itself* — a scratch
 :class:`~repro.pipeline.state.Occupancy` is loaded with the state's
 rows and searched with the group's trace — so table and interpreter
 agree by construction; the differential battery in
 ``tests/pipeline/test_table_differential.py`` enforces it end to end.
+
+The disk store
+--------------
+A model's tables persist as one file, ``tables-<digest>-v3.bin``, under
+the model's content digest: a header line, then five array sections
+taken straight from the in-memory containers, in the writer's byte
+order:
+
+1. key offsets, ``uint32``, one per state plus one: state ``sid``'s key
+   is bytes ``offsets[sid]:offsets[sid + 1]`` of
+2. the state keys, concatenated;
+3. ``advance``, ``int32``, -1 for None;
+4. the packed transition keys, ``uint64``, and
+5. the packed transition values, ``uint64``, in the same order.
+
+The header line is a CRC-32 in eight hex digits, a space, and a JSON
+object: the format version, the window, the unit capacity, every timing
+group's trace signature, ``sid_bits`` and ``fit_bits``, the byte order
+and item sizes, and the state, key-byte and transition counts. The
+checksum covers the JSON text and every section. A growth check reads
+the header line alone; a load reads the file once, checks it, and
+builds the containers from memoryview slices of it.
 """
 
 from __future__ import annotations
@@ -63,9 +86,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import zlib
-from itertools import islice
+from array import array
+from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING
 
 from ..isa.registers import Reg, RegKind
@@ -84,11 +109,16 @@ DEFAULT_BUDGET = 50_000
 #: on-disk cache stores and what every worker process starts from.
 EAGER_STATES = 256
 
-#: On-disk cache format version (bump on any layout change).
-_CACHE_VERSION = 2
+#: On-disk store format version (bump on any layout change).
+_CACHE_VERSION = 3
 
 #: Environment override for the on-disk table cache directory.
 CACHE_DIR_ENV = "REPRO_TABLE_CACHE_DIR"
+
+#: Array typecodes of the store's sections: the key offsets, ``advance``
+#: and the packed transitions (keys and values alike).
+_OFFSET, _ADVANCE, _PACKED = "I", "i", "Q"
+_ITEMSIZES = [array(code).itemsize for code in (_OFFSET, _ADVANCE, _PACKED)]
 
 
 def _cache_dir() -> str:
@@ -115,7 +145,8 @@ class PipelineTables:
     queried cycle and ``next_sid`` the state after committing there
     (None, stored as 0, when the successor was past the budget — the
     stall answer is still valid, only tracking is lost). :meth:`lookup`
-    decodes one transition, :meth:`payload` all of them.
+    decodes one transition; the disk store holds them packed as they
+    are.
 
     :attr:`memo` is trace timing's :class:`SegmentMemo`. Its keys hold
     these tables' state ids, so it lives and is replaced with them, and
@@ -159,6 +190,8 @@ class PipelineTables:
         #: lazily learned states can be persisted back to the same file.
         self.cache_path: str | None = None
         self.memo = SegmentMemo()
+        #: :meth:`_group_signatures`, one per group formed so far.
+        self._signatures: list[str] = []
 
     @staticmethod
     def _window(model: MachineModel) -> int:
@@ -178,19 +211,6 @@ class PipelineTables:
         """``key``'s rows, one ``bytes`` slice per cycle."""
         width = self._width or 1  # a unitless machine has only b""
         return [key[start : start + width] for start in range(0, len(key), width)]
-
-    def _unpacked(self):
-        """``(sid, group, fit, next_sid)`` per transition, in learning
-        order: :meth:`lookup`'s decoding, without a lookup per entry."""
-        bits = self._sid_bits
-        mask = (1 << bits) - 1
-        fit_bits = self._fit_bits
-        fit_mask = self._fit_mask
-        for key, packed in self.transitions.items():
-            successor = packed >> fit_bits
-            yield key & mask, key >> bits, packed & fit_mask, (
-                successor - 1 if successor else None
-            )
 
     # -- interning -----------------------------------------------------------
 
@@ -319,107 +339,210 @@ class PipelineTables:
         """Per timing group id, a digest of the group's trace signature.
         Group ids are handed out in formation order, so two models of
         one description number the same traces differently when they
-        first meet instructions in a different order; a persisted table
-        names its groups by these digests, and loading maps them onto
-        this model's ids."""
-        return [
-            hashlib.sha256(
-                repr(self.model.group_trace(g).signature()).encode()
-            ).hexdigest()[:16]
-            for g in range(self.model.group_count)
-        ]
+        first meet instructions in a different order; a store names its
+        groups by these digests, and loading maps them onto this model's
+        ids. Groups are only ever added, so each is hashed once."""
+        signatures = self._signatures
+        for group in range(len(signatures), self.model.group_count):
+            trace = self.model.group_trace(group)
+            signatures.append(
+                hashlib.sha256(repr(trace.signature()).encode()).hexdigest()[:16]
+            )
+        return signatures
 
-    def payload(self) -> dict:
-        """The JSON-serializable table content: every interned state and
-        memoized transition, eager prefix and lazily learned alike.
-        (The eager prefix is deterministic; learned states depend on
-        what was scheduled, but every persisted transition was computed
-        by the interpreted walker, so any superset is equally valid.)
+    def write_store(self, path: str) -> None:
+        """Write every interned state and memoized transition, eager
+        prefix and lazily learned alike, to ``path`` as a store (see the
+        module docstring). (The eager prefix is deterministic; learned
+        states depend on what was scheduled, but every stored transition
+        was computed by the interpreted walker, so any superset is
+        equally valid.)
 
-        Learned states are persisted from inside scheduling requests,
-        so the decoding is kept cheap: the few distinct rows are decoded
-        once and shared, and transitions are unpacked in one sweep."""
-        decoded: dict[bytes, list[int]] = {}
-        keys = []
-        for key in self.keys:
-            rows = []
-            for row in self._split(key):
-                values = decoded.get(row)
-                if values is None:
-                    values = decoded[row] = list(row)
-                rows.append(values)
-            keys.append(rows)
-        transitions: list[list[tuple[int, int, int | None]]] = [[] for _ in self.keys]
-        for sid, group, fit, next_sid in self._unpacked():
-            transitions[sid].append((group, fit, next_sid))
-        for table in transitions:
-            table.sort()
-        return {
-            "version": _CACHE_VERSION,
-            "window": self.window,
-            "capacity": list(self.capacity),
-            "groups": self._group_signatures(),
-            "keys": keys,
-            "advance": self.advance,
-            "transitions": transitions,
-        }
-
-    def load_payload(self, payload) -> bool:
-        """Adopt a persisted table. False, leaving these tables as they
-        were, when it is not a table of this model (stale format,
-        different group set or unit inventory) or is malformed."""
-        if not isinstance(payload, dict) or (
-            payload.get("version"),
-            payload.get("window"),
-            payload.get("capacity"),
-        ) != (_CACHE_VERSION, self.window, list(self.capacity)):
-            return False
+        Learned states are persisted from inside scheduling requests, so
+        the sections come straight from the tables' containers and are
+        streamed to a temp file, the checksum accumulated section by
+        section, and the file is renamed into place. A read-only or full
+        cache directory only costs recompilation."""
+        keys = self.keys
+        offsets = array(_OFFSET, accumulate(map(len, keys), initial=0))
+        # The key section is joined a few thousand keys at a time:
+        # joining every key at once holds the whole section plus a
+        # buffer per key, and writing them one by one is slower.
+        chunks = chain(
+            (offsets,),
+            (b"".join(keys[at : at + 4096]) for at in range(0, len(keys), 4096)),
+            (
+                array(_ADVANCE, [-1 if sid is None else sid for sid in self.advance]),
+                array(_PACKED, self.transitions.keys()),
+                array(_PACKED, self.transitions.values()),
+            ),
+        )
+        header = json.dumps(
+            {
+                "version": _CACHE_VERSION,
+                "window": self.window,
+                "capacity": list(self.capacity),
+                "groups": self._group_signatures(),
+                "sid_bits": self._sid_bits,
+                "fit_bits": self._fit_bits,
+                "byteorder": sys.byteorder,
+                "itemsizes": _ITEMSIZES,
+                "states": len(keys),
+                "key_bytes": offsets[-1],
+                "transitions": len(self.transitions),
+            },
+            separators=(",", ":"),
+        ).encode()
+        directory = os.path.dirname(path)
         try:
-            ids = {sig: gid for gid, sig in enumerate(self._group_signatures())}
-            gids = {
-                index: ids.pop(sig, None)
-                for index, sig in enumerate(payload["groups"])
-            }
-            if ids or None in gids.values():
-                return False  # a different group set
-            keys = [b"".join(bytes(row) for row in key) for key in payload["keys"]]
-            advance = payload["advance"]
-            transitions = payload["transitions"]
-            width = self._width or 1
-            if (
-                not keys
-                or keys[0] != b""
-                or len(advance) != len(keys)
-                or len(transitions) != len(keys)
-                or any(len(key) % width for key in keys)
-            ):
-                return False
-            known = min(len(keys), self.budget)
-            window = self.window
-            packed = {}
-            for sid, table in enumerate(transitions[:known]):
-                for group, fit, next_sid in table:
-                    if not 0 <= fit <= window:
-                        return False
-                    successor = (
-                        next_sid + 1
-                        if next_sid is not None and 0 <= next_sid < known
-                        else 0
-                    )
-                    packed[gids[group] << self._sid_bits | sid] = (
-                        fit | successor << self._fit_bits
-                    )
-            advance = [
-                sid if sid is not None and 0 <= sid < known else None
-                for sid in advance[:known]
-            ]
-        except (KeyError, TypeError, ValueError):
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    # The checksum's digits are filled in last.
+                    handle.write(b"%08x %s\n" % (0, header))
+                    checksum = zlib.crc32(header)
+                    for chunk in chunks:
+                        handle.write(chunk)
+                        checksum = zlib.crc32(chunk, checksum)
+                    handle.seek(0)
+                    handle.write(b"%08x" % checksum)
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+        except OSError:
+            pass
+
+    def read_store(self, path: str) -> bool:
+        """Adopt the store at ``path``. False, leaving these tables as
+        they were, when it cannot be read or is not a store of this
+        model: another format, version, window, unit inventory, group
+        set, byte order or item size, a failed checksum, or sections
+        that disagree with the header or with each other.
+
+        The file is read once and never copied whole: the arrays are
+        filled from memoryview slices of it and each state key is sliced
+        out of it. A store in this model's group order and packing with
+        no more states than the budget is adopted as stored; any other
+        is remapped and repacked entry by entry. Of a store with more
+        states than the budget, the first ``budget`` load, and
+        successors and ``advance`` entries past them become None."""
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
             return False
-        self.keys = keys[:known]
-        self.ids = {key: sid for sid, key in enumerate(self.keys)}
-        self.advance = advance
+        end = data.find(b"\n")
+        parsed = _parse_header(data[:end]) if end >= 0 else None
+        if parsed is None:
+            return False
+        checksum, text, header = parsed
+        if (
+            header.get("version"),
+            header.get("window"),
+            header.get("capacity"),
+            header.get("fit_bits"),
+            header.get("byteorder"),
+            header.get("itemsizes"),
+        ) != (
+            _CACHE_VERSION,
+            self.window,
+            list(self.capacity),
+            self._fit_bits,
+            sys.byteorder,
+            _ITEMSIZES,
+        ):
+            return False
+        states, key_bytes, count = (
+            header["states"],
+            header["key_bytes"],
+            header["transitions"],
+        )
+        offset_size, advance_size, packed_size = _ITEMSIZES
+        sizes = (
+            (states + 1) * offset_size,
+            key_bytes,
+            states * advance_size,
+            count * packed_size,
+            count * packed_size,
+        )
+        body = end + 1
+        sid_bits = header["sid_bits"]
+        if not states or body + sum(sizes) != len(data) or sid_bits > 64:
+            return False
+        view = memoryview(data)
+        if checksum != b"%08x" % zlib.crc32(view[body:], zlib.crc32(text)):
+            return False
+        mine = self._group_signatures()
+        stored = header["groups"]
+        gids = None
+        if stored != mine:
+            ids = {sig: gid for gid, sig in enumerate(mine)}
+            gids = [ids.pop(sig, None) for sig in stored]
+            if ids or None in gids:
+                return False  # a different group set
+        starts = list(accumulate(sizes, initial=body))
+        offsets, advance, packed_keys, packed_values = (
+            _array(code, view[starts[at] : starts[at + 1]])
+            for code, at in ((_OFFSET, 0), (_ADVANCE, 2), (_PACKED, 3), (_PACKED, 4))
+        )
+
+        # Offsets start at 0, never decrease, end at the key bytes, and
+        # cut whole rows; key 0 is the empty machine.
+        bounds = offsets.tolist()
+        width = self._width or 1
+        if (
+            bounds[1]
+            or bounds[-1] != key_bytes
+            or bounds != sorted(bounds)
+            or any(bound % width for bound in bounds)
+        ):
+            return False
+        # Every transition is of a stored state and group, and fits
+        # within the window.
+        sid_mask = (1 << sid_bits) - 1
+        fit_bits = self._fit_bits
+        fit_mask = self._fit_mask
+        window = self.window
+        if count and max(packed_keys) >> sid_bits >= len(stored):
+            return False
+        for key, value in zip(packed_keys, packed_values):
+            if key & sid_mask >= states or value & fit_mask > window:
+                return False
+
+        known = min(states, self.budget)
+        if (
+            gids is None
+            and sid_bits == self._sid_bits
+            and known == states
+            and (not count or max(packed_values) >> fit_bits <= known)
+        ):
+            transitions = dict(zip(packed_keys, packed_values))
+        else:
+            gids = gids or range(len(stored))
+            transitions = {}
+            for key, value in zip(packed_keys, packed_values):
+                sid = key & sid_mask
+                if sid < known:
+                    successor = value >> fit_bits
+                    if successor > known:
+                        value &= fit_mask  # past the loaded states: None
+                    transitions[gids[key >> sid_bits] << self._sid_bits | sid] = value
+        base = starts[1]
+        self.keys = [
+            data[base + start : base + stop]
+            for start, stop in zip(bounds, islice(bounds, 1, known + 1))
+        ]
+        self.ids = dict(zip(self.keys, range(known)))
+        self.advance = [
+            sid if 0 <= sid < known else None for sid in islice(advance, known)
+        ]
         self.advance[0] = 0
-        self.transitions = packed
+        self.transitions = transitions
         self.memo = SegmentMemo()  # its keys named the old state ids
         return True
 
@@ -663,7 +786,36 @@ class LeanPipeline:
 
 
 def _cache_path(digest: str) -> str:
-    return os.path.join(_cache_dir(), f"tables-{digest}-v{_CACHE_VERSION}.json")
+    return os.path.join(_cache_dir(), f"tables-{digest}-v{_CACHE_VERSION}.bin")
+
+
+def _array(code: str, data) -> array:
+    values = array(code)
+    values.frombytes(data)
+    return values
+
+
+def _parse_header(line: bytes) -> tuple[bytes, bytes, dict] | None:
+    """``(checksum digits, JSON text, fields)`` of a store's header
+    line, or None when ``line`` is not one. The counts and bit widths
+    must be non-negative ints and the group signatures strings, so
+    nothing that sizes or indexes by them can fail."""
+    checksum, _, text = line.partition(b" ")
+    try:
+        header = json.loads(text)
+    except ValueError:
+        return None
+    if not (
+        isinstance(header, dict)
+        and all(
+            type(header.get(name)) is int and header[name] >= 0
+            for name in ("states", "key_bytes", "transitions", "sid_bits")
+        )
+        and isinstance(header.get("groups"), list)
+        and all(isinstance(sig, str) for sig in header["groups"])
+    ):
+        return None
+    return checksum, text, header
 
 
 def _expand_variants(model: MachineModel) -> None:
@@ -698,13 +850,15 @@ def attach_tables(
     model answers through them, byte-identically to the interpreted
     walker.
 
-    The eager prefix is persisted under the model's content digest
-    (:func:`repro.parallel.fingerprint.model_digest`) when the model
-    records its SADL source, in ``$REPRO_TABLE_CACHE_DIR`` or
-    ``$TMPDIR/repro-tables-<uid>``, so parallel workers and later
-    processes skip recompilation. An entry that fails its checksum or
-    is not a table of this model is counted in
-    :attr:`PipelineTables.rejected`, recompiled and rewritten.
+    When the model records its SADL source, the tables start from the
+    store under the model's content digest
+    (:func:`repro.parallel.fingerprint.model_digest`), in
+    ``$REPRO_TABLE_CACHE_DIR`` or ``$TMPDIR/repro-tables-<uid>``: the
+    eager prefix plus whatever earlier processes learned and
+    :func:`persist_learned` wrote back. Without one, the eager prefix is
+    compiled and written there. A store that fails its checks is
+    counted in :attr:`PipelineTables.rejected`, recompiled and
+    rewritten.
     """
     from ..parallel.fingerprint import model_digest
 
@@ -715,13 +869,13 @@ def attach_tables(
         path = _cache_path(model_digest(model))
     loaded = False
     if path is not None and os.path.exists(path):
-        loaded = tables.load_payload(_read_entry(path))
+        loaded = tables.read_store(path)
         if not loaded:  # corrupt or stale: recompiled and rewritten below
             tables.rejected += 1
     if not loaded:
         tables.enumerate(EAGER_STATES)
         if path is not None:
-            _atomic_write(path, tables.payload())
+            tables.write_store(path)
     if path is not None:
         tables.cache_path = path
         tables.persisted_states = tables.states
@@ -737,76 +891,43 @@ PERSIST_MIN_GROWTH = 64
 def persist_learned(
     model: MachineModel, *, min_growth: int = PERSIST_MIN_GROWTH
 ) -> bool:
-    """Write states learned lazily *during scheduling* back to the
-    disk cache, so the next process to compile this model's tables
+    """Write states learned lazily *during scheduling and timing* back
+    to the store, so the next process to compile this model's tables
     starts with them instead of re-learning.
 
     The eager BFS prefix covers the structurally common states, but a
-    real workload's first pass still interns on the order of a thousand
-    additional states (`pipeline.table_fallbacks` territory) — work
-    that was previously redone by every fresh worker process. Persisting
-    is last-writer-wins with a size guard: if the on-disk entry already
-    holds at least as many states (another worker got there first),
-    nothing is written. Returns True when a write happened. No-ops
-    when the model's tables did not come through the disk cache, and
-    after a successful persist until another ``min_growth`` states are
-    learned — steady state writes nothing.
+    real workload's first pass still interns thousands more — work
+    every fresh process would otherwise redo. Pool workers call this
+    after each sharded build, and :func:`repro.evaluation.run_table`
+    after its rows. Persisting is last-writer-wins with a size guard:
+    if the store's header line already counts at least as many states
+    (another process got there first), nothing is written, and the body
+    is never read. Returns True when a write happened. No-ops when the
+    model's tables did not come through the disk cache, and, without
+    opening any file, until ``min_growth`` states have been learned
+    since the last load or persist — steady state reads and writes
+    nothing.
     """
     tables = model.tables
     if tables.cache_path is None:
         return False
     if tables.states - tables.persisted_states < min_growth:
         return False
-    on_disk = _read_entry(tables.cache_path)
-    keys = on_disk.get("keys") if on_disk is not None else None
-    if isinstance(keys, list) and len(keys) >= tables.states:
+    if _stored_states(tables.cache_path) >= tables.states:
         tables.persisted_states = tables.states
         return False
-    _atomic_write(tables.cache_path, tables.payload())
+    tables.write_store(tables.cache_path)
     tables.persisted_states = tables.states
     return True
 
 
-def _checksum(text: str) -> str:
-    return f"{zlib.crc32(text.encode()):08x}"
-
-
-def _read_entry(path: str) -> dict | None:
-    """The payload a cache file holds, or None when it cannot be read,
-    fails its checksum, or holds no JSON object. The file is the
-    checksum of the JSON text on the first line, then the text, so
-    verifying needs no re-serialization."""
+def _stored_states(path: str) -> int:
+    """The state count in the header line of the store at ``path``; 0
+    when there is no readable header."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            checksum, _, text = handle.read().partition("\n")
-        if checksum != _checksum(text):
-            return None
-        payload = json.loads(text)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def _atomic_write(path: str, payload: dict) -> None:
-    directory = os.path.dirname(path)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                # One-shot ``dumps`` runs the C encoder; streaming
-                # ``dump`` runs the pure-Python one, about 8x slower on
-                # thousands of states, and learned states are persisted
-                # from inside scheduling requests. Same text either way.
-                text = json.dumps(payload, separators=(",", ":"))
-                handle.write(f"{_checksum(text)}\n{text}")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with open(path, "rb") as handle:
+            line = handle.readline()
     except OSError:
-        # A read-only or full cache directory only costs recompilation.
-        pass
+        return 0
+    parsed = _parse_header(line)
+    return 0 if parsed is None else parsed[2]["states"]

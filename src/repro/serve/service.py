@@ -483,6 +483,19 @@ class SchedulingService:
                 "builds": self.builds,
             }
             caches = sorted(self._caches.items())
+            models = sorted(self._models.items())
+        # Each hot model's stall tables, so a refused table store (or a
+        # machine running on walker fallbacks) shows up in serve.
+        summary["tables"] = {}
+        for machine, model in models:
+            tables = model.tables
+            summary["tables"][machine] = {
+                "states": tables.states,
+                "transitions": len(tables.transitions),
+                "persisted_states": tables.persisted_states,
+                "rejected": tables.rejected,
+                "misses": tables.misses,
+            }
         summary["caches"] = {
             f"{machine}/{'delay' if fill else 'nodelay'}": {
                 "entries": len(cache),

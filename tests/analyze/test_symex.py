@@ -19,7 +19,7 @@ from repro.analyze.symex import (
 from repro.core.verify import _random_state
 from repro.isa.instruction import TAG_INSTRUMENTATION, Instruction
 from repro.isa.machine_state import MASK32
-from repro.isa.registers import r
+from repro.isa.registers import f, r
 from repro.isa.semantics import run_straightline
 
 # -- the term language ------------------------------------------------------------
@@ -113,6 +113,19 @@ def test_symbolic_matches_concrete_on_constant_inputs(seed):
 def test_control_transfer_is_unsupported():
     with pytest.raises(SymexUnsupported):
         sym_execute(SymbolicState(), Instruction("call", imm=8))
+
+
+@pytest.mark.parametrize("mnemonic", ["lddf", "stdf"])
+@pytest.mark.parametrize("rd", [31, 5])
+def test_odd_fp_doubleword_access_is_unsupported(mnemonic, rd):
+    """The concrete step faults on an odd FP pair; symex refuses it with
+    the same text, as FP double arithmetic does, before it reads or
+    writes anything."""
+    state = SymbolicState()
+    fregs = list(state.fregs)
+    with pytest.raises(SymexUnsupported, match=f"^odd double register %f{rd}$"):
+        sym_execute(state, Instruction(mnemonic, rd=f(rd), rs1=r(1), imm=0))
+    assert state.fregs == fregs and not state.memory.writes
 
 
 # -- traps ------------------------------------------------------------------------

@@ -129,6 +129,41 @@ def test_odd_double_register_faults_when_run():
     assert state.fregs == [0] * 32
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instruction("lddf", rd=f(31), rs1=r(1), imm=0),
+        Instruction("lddf", rd=f(5), rs1=r(1), imm=0),
+        Instruction("stdf", rd=f(31), rs1=r(1), imm=0),
+        Instruction("stdf", rd=f(3), rs1=r(1), rs2=r(0)),
+    ],
+    ids=str,
+)
+def test_odd_fp_doubleword_access_faults_before_touching_anything(inst):
+    """``lddf``/``stdf`` name an even/odd register pair, as FP double
+    arithmetic does: an odd register faults with the same typed error,
+    before any register or memory changes (``%f31`` has no pair at
+    all)."""
+    state = _state(r1=0x200)
+    state.memory.write_word(0x200, 0x11111111)
+    state.memory.write_word(0x204, 0x22222222)
+    state.fregs[:] = range(100, 132)
+    before = (list(state.regs), list(state.fregs), dict(state.memory._bytes))
+    with pytest.raises(MemoryFault, match=f"^odd double register %f{inst.rd.index}$"):
+        execute(state, inst)
+    assert (list(state.regs), list(state.fregs), dict(state.memory._bytes)) == before
+
+
+def test_integer_doubleword_access_pairs_rd_or_one():
+    """Integer ``ldd``/``std`` keep the ``rd | 1`` pairing: an odd
+    ``rd`` is its own second word."""
+    state = _state(r1=0x200)
+    state.memory.write_word(0x200, 0x11111111)
+    state.memory.write_word(0x204, 0x22222222)
+    execute(state, Instruction("ldd", rd=r(5), rs1=r(1), imm=0))
+    assert state.get_reg(5) == 0x22222222 and state.get_reg(4) == 0
+
+
 @pytest.mark.parametrize("mnemonic", ["udiv", "sdiv"])
 def test_divide_by_zero_faults_when_run(mnemonic):
     with pytest.raises(SemanticsError, match=f"^{mnemonic} by zero$"):
@@ -174,6 +209,22 @@ def test_misaligned_load_inside_a_segment():
 def test_odd_double_register_inside_a_segment():
     body = _SEGMENT[:2] + [Instruction("fsubd", rd=f(4), rs1=f(2), rs2=f(7))] + _SEGMENT[2:]
     _assert_same_fault(body + list(RETL), MachineState(), MemoryFault, "odd double register %f7")
+
+
+@pytest.mark.parametrize("mnemonic", ["lddf", "stdf"])
+def test_odd_fp_doubleword_access_inside_a_segment(mnemonic):
+    """The fault stops the run with ``pc`` at the faulting instruction
+    and nothing of it done, in the bound and the reference simulator."""
+    at = 3
+    body = _SEGMENT[:at] + [Instruction(mnemonic, rd=f(31), rs1=r(0), imm=0x100)] + _SEGMENT[at:]
+    state = MachineState()
+    state.fregs[:] = range(100, 132)
+    _assert_same_fault(body + list(RETL), state, MemoryFault, "odd double register %f31")
+    run = state.copy()
+    with pytest.raises(MemoryFault):
+        Simulator(code_at(body + list(RETL))).run(CODE, state=run)
+    assert (run.pc, run.npc) == (CODE + 4 * at, CODE + 4 * at + 4)
+    assert run.fregs == state.fregs and not run.memory._bytes
 
 
 @pytest.mark.parametrize("mnemonic", ["udiv", "sdiv"])

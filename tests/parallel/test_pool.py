@@ -133,7 +133,7 @@ def test_persist_learned_writes_back_growth(tmp_path, monkeypatch):
     from repro.core.list_scheduler import ListScheduler
     from repro.core.regions import split_regions
     from repro.eel.cfg import build_cfg
-    from repro.pipeline.tables import CACHE_DIR_ENV, _read_entry, persist_learned
+    from repro.pipeline.tables import CACHE_DIR_ENV, PipelineTables, persist_learned
     from repro.spawn.library import description_text, load_machine_from_source
 
     # A private model + private cache dir, so interning here cannot
@@ -161,8 +161,10 @@ def test_persist_learned_writes_back_growth(tmp_path, monkeypatch):
         pytest.skip("workload interned no new states beyond the eager prefix")
     assert persist_learned(model, min_growth=1) is True
     assert tables.persisted_states == tables.states
-    payload = _read_entry(tables.cache_path)
-    assert len(payload["keys"]) == tables.states
+    stored = PipelineTables(model)
+    assert stored.read_store(tables.cache_path)
+    assert stored.keys == tables.keys
+    assert stored.transitions == tables.transitions
     # Steady state: a second persist writes nothing.
     assert persist_learned(model, min_growth=1) is False
 

@@ -21,6 +21,7 @@ to miss mid-run and redo its work on the interpreted path.
 """
 
 import json
+from array import array
 
 import pytest
 
@@ -274,46 +275,106 @@ def test_recorded_timed_run_hazard_buckets_identical(machine, spec95):
 
 def _rows(tables, sid):
     """State ``sid``'s free-unit rows, one tuple per cycle: the compact
-    key decoded independently of :meth:`PipelineTables.payload`."""
+    key decoded independently of the store."""
     key = tables.keys[sid]
     width = len(tables.capacity) or 1
     return tuple(tuple(key[at : at + width]) for at in range(0, len(key), width))
 
 
-def _state_transitions(tables):
-    """Per state, ``{group: (fit, next_sid)}``, decoded from the packed
-    transition map independently of :meth:`PipelineTables.payload`."""
-    out = [{} for _ in tables.keys]
-    for sid, group, fit, next_sid in tables._unpacked():
-        out[sid][group] = (fit, next_sid)
+def _unpack(packed_keys, packed_values, states, sid_bits, fit_bits):
+    """Per state, ``{group: (fit, next_sid)}`` of packed transitions."""
+    out = [{} for _ in range(states)]
+    for key, packed in zip(packed_keys, packed_values):
+        successor = packed >> fit_bits
+        out[key & ((1 << sid_bits) - 1)][key >> sid_bits] = (
+            packed & ((1 << fit_bits) - 1),
+            successor - 1 if successor else None,
+        )
     return out
 
 
+def _state_transitions(tables):
+    """Per state, ``{group: (fit, next_sid)}``, decoded from the packed
+    transition map independently of :meth:`PipelineTables.lookup`."""
+    return _unpack(
+        tables.transitions.keys(),
+        tables.transitions.values(),
+        tables.states,
+        tables._sid_bits,
+        tables._fit_bits,
+    )
+
+
+def _store_contents(path):
+    """``(header, rows per state, advance, transitions per state)`` of
+    the store at ``path``, decoded from nothing but its documented
+    layout: a header line, then offsets, key bytes, ``advance`` and the
+    packed transition keys and values."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    end = data.index(b"\n")
+    header = json.loads(data[:end].partition(b" ")[2])
+    states, count = header["states"], header["transitions"]
+    at = end + 1
+
+    def take(code, items):
+        nonlocal at
+        values = array(code)
+        values.frombytes(data[at : at + items * values.itemsize])
+        at += items * values.itemsize
+        return values
+
+    offsets = take("I", states + 1)
+    keys = data[at : at + header["key_bytes"]]
+    at += header["key_bytes"]
+    advance = [None if sid < 0 else sid for sid in take("i", states)]
+    packed_keys, packed_values = take("Q", count), take("Q", count)
+    assert at == len(data)
+    width = len(header["capacity"]) or 1
+    rows = [
+        tuple(tuple(keys[row : row + width]) for row in range(start, stop, width))
+        for start, stop in zip(offsets, offsets[1:])
+    ]
+    transitions = _unpack(
+        packed_keys, packed_values, states, header["sid_bits"], header["fit_bits"]
+    )
+    return header, rows, advance, transitions
+
+
 @pytest.mark.parametrize("machine", MACHINES)
-def test_payload_decodes_the_compact_store_and_round_trips(machine, spec95):
-    """The disk payload lists every state's rows and every transition
-    exactly as :func:`_rows`, :func:`_state_transitions` and
-    :meth:`lookup` decode them, for eager and lazily learned states, and
-    reloading it reproduces it."""
+def test_store_holds_the_compact_tables_and_round_trips(machine, spec95, tmp_path):
+    """The disk store lists every state's rows, ``advance`` entry and
+    transition exactly as :func:`_rows`, :func:`_state_transitions` and
+    :meth:`lookup` decode them, for eager and lazily learned states;
+    reloading it reproduces the tables, transitions in learning order,
+    and writing them again gives the same bytes."""
     _, tabled = _walker_and_table_models(machine)
     tables = tabled.tables
     eager = tables.states
     for _, executable in spec95[:2]:
         timed_run(tabled, executable)
     assert tables.states > eager, "timing learned no state beyond the prefix"
-    payload = tables.payload()
+    path = str(tmp_path / "store.bin")
+    tables.write_store(path)
+    header, rows, advance, transitions = _store_contents(path)
     by_state = _state_transitions(tables)
-    assert len(payload["keys"]) == len(by_state) == tables.states
-    for sid, (rows, table) in enumerate(zip(payload["keys"], by_state)):
-        assert rows == [list(row) for row in _rows(tables, sid)]
-        assert payload["transitions"][sid] == sorted(
-            (group, fit, next_sid) for group, (fit, next_sid) in table.items()
-        )
+    assert header["states"] == len(rows) == len(by_state) == tables.states
+    assert header["transitions"] == len(tables.transitions)
+    assert advance == tables.advance
+    for sid, (state_rows, table) in enumerate(zip(rows, by_state)):
+        assert state_rows == _rows(tables, sid)
+        assert transitions[sid] == table
         for group, transition in table.items():
             assert tables.lookup(sid, group) == transition
     reloaded = PipelineTables(tabled, budget=tables.budget)
-    assert reloaded.load_payload(json.loads(json.dumps(payload)))
-    assert reloaded.payload() == payload
+    assert reloaded.read_store(path)
+    assert reloaded.keys == tables.keys
+    assert reloaded.advance == tables.advance
+    assert list(reloaded.transitions.items()) == list(tables.transitions.items())
+    again = str(tmp_path / "again.bin")
+    reloaded.write_store(again)
+    with open(path, "rb") as first, open(again, "rb") as second:
+        assert first.read() == second.read()
 
 
 # -- models the state encoding cannot hold -----------------------------------------

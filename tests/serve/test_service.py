@@ -256,7 +256,39 @@ def test_stats_shape_and_counters(service):
     assert stats["memo"]["entries"] >= 1
     assert stats["memo"]["hits"] + stats["memo"]["builds"] == stats["requests"]
     assert "pool" in stats
+    tables = stats["tables"]["ultrasparc"]
+    assert set(tables) == {"states", "transitions", "persisted_states", "rejected", "misses"}
+    assert tables["states"] >= tables["persisted_states"] > 0
     assert json.dumps(stats)  # the /stats endpoint must serialize
+
+
+def test_stats_report_a_refused_table_store(tmp_path, monkeypatch):
+    """A corrupt table store in the cache directory is refused, counted,
+    recompiled and rewritten; ``/stats`` shows the refusal."""
+    from repro.parallel.fingerprint import model_digest
+    from repro.pipeline.tables import CACHE_DIR_ENV, EAGER_STATES, _cache_path
+    from repro.spawn.library import description_text, load_machine_from_source
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    # A model of its own, not the process-wide one earlier tests loaded.
+    monkeypatch.setattr(
+        service_module,
+        "load_machine",
+        lambda machine: load_machine_from_source(description_text(machine), machine),
+    )
+    path = _cache_path(model_digest(load_machine("ultrasparc")))
+    with open(path, "wb") as handle:
+        handle.write(b"00000000 {}\n" + bytes(64))
+    service = SchedulingService(ServiceConfig(jobs=1))
+    result = batch(service, encode_job("instrument", workload=SPEC))["results"][0]
+    assert result["ok"], result
+    tables = service.stats()["tables"]
+    assert list(tables) == ["ultrasparc"]
+    assert tables["ultrasparc"]["rejected"] == 1
+    assert tables["ultrasparc"]["persisted_states"] == EAGER_STATES
+    assert tables["ultrasparc"]["misses"] == 0
+    rewritten = load_machine_from_source(description_text("ultrasparc"), "ultrasparc")
+    assert rewritten.tables.rejected == 0
 
 
 def test_flush_ledger_appends_a_serve_record(service, tmp_path):
