@@ -172,7 +172,7 @@ class BlockScheduler:
             entry = self.cache.lookup(self._cache_context, region, digest=digest)
             if entry is not None:
                 result = entry.replay(region)
-                if self.recorder.enabled:
+                if self.recorder.telemetry:
                     self._replay_attribution(result.instructions)
                 return result
         result = self.scheduler.schedule_region(region)

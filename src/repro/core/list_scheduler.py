@@ -120,7 +120,7 @@ class ListScheduler:
             heights = chain_lengths(self.model, graph)
         with rec.span("core.forward_pass"):
             order = exit_cycle = None
-            if entry_state is None and not rec.enabled and self.provenance is None:
+            if entry_state is None and not rec.telemetry and self.provenance is None:
                 # Table-only fast path: no telemetry or provenance to
                 # feed and no threaded state, so the pass needs neither
                 # the occupancy timeline nor interval commits. Any
@@ -259,7 +259,7 @@ class ListScheduler:
         timings = [model.timing(node) for node in graph.nodes]
         rec = self.recorder
         log = self.provenance
-        telemetry = rec.enabled
+        telemetry = rec.telemetry
         keys: list[tuple] | None = [] if (telemetry or log is not None) else None
         cands: list[tuple[int, int]] | None = [] if log is not None else None
 

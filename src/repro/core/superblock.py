@@ -1028,7 +1028,7 @@ class SuperblockScheduler:
                 self._stats.instructions += len(body)
                 self._stats.original_cycles += cycles[0]
                 self._stats.scheduled_cycles += cycles[1]
-        if rec.enabled:
+        if rec.telemetry:
             self._replay_attribution(cfg, plan)
 
     def _replay_attribution(self, cfg: CFG, plan: SuperblockPlan) -> None:

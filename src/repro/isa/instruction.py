@@ -52,24 +52,30 @@ class Instruction:
         object.__setattr__(self, "_info", info)
         if self.rs2 is not None and self.imm is not None:
             raise ValueError(f"{self.mnemonic}: both rs2 and imm given")
+        plan = _PLANS[self.mnemonic]
         if (
             self.rs2 is None
             and self.imm is None
             and self.target is None
-            and _PLANS[self.mnemonic].zero_imm
+            and plan.zero_imm
         ):
             object.__setattr__(self, "imm", 0)
-        for slot, reg in ((Slot.RD, self.rd), (Slot.RS1, self.rs1), (Slot.RS2, self.rs2)):
+        state = self.__dict__
+        for name, kind in plan.operands:
+            reg = state[name]
             if reg is None:
-                continue
-            want = info.operand_kinds.get(slot)
-            if want is None:
-                raise ValueError(f"{self.mnemonic}: unexpected operand {slot.value}")
-            have = "f" if reg.kind is RegKind.FP else "r"
-            if reg.kind not in (RegKind.INT, RegKind.FP) or have != want:
+                # A slot the mnemonic has must be filled; imm or target
+                # fills an absent rs2.
+                if kind is not None and (
+                    name != "rs2" or state["imm"] is None and state["target"] is None
+                ):
+                    raise ValueError(f"{self.mnemonic}: missing operand {name}")
+            elif reg.kind is not kind:
+                if kind is None:
+                    raise ValueError(f"{self.mnemonic}: unexpected operand {name}")
                 raise ValueError(
-                    f"{self.mnemonic}: operand {slot.value} must be an "
-                    f"{'fp' if want == 'f' else 'integer'} register, got {reg}"
+                    f"{self.mnemonic}: operand {name} must be an "
+                    f"{'fp' if kind is RegKind.FP else 'integer'} register, got {reg}"
                 )
 
     def __getstate__(self) -> dict:
@@ -245,6 +251,8 @@ _FIELD_NAMES = tuple(field.name for field in fields(Instruction))
 
 _FIXED_REGS = {Slot.ICC: ICC, Slot.FCC: FCC, Slot.Y: Y, Slot.PC: PC, Slot.O7: O7}
 _OPERAND_FIELDS = {Slot.RD: "rd", Slot.RS1: "rs1", Slot.RS2: "rs2"}
+#: ``OpcodeInfo.operand_kinds`` letter -> the register file it names.
+_REG_FILES = {"r": RegKind.INT, "f": RegKind.FP}
 
 
 @dataclass(frozen=True)
@@ -253,7 +261,16 @@ class _Plan:
     once from its :class:`OpcodeInfo`: the fixed resources it reads and
     writes (as registers and as ``Reg.code`` masks), the operand fields
     it reads and writes, whether an fp operand names a register pair,
-    and whether an absent ``rs2``/``imm``/``target`` means ``imm=0``."""
+    whether an absent ``rs2``/``imm``/``target`` means ``imm=0``, and
+    the register file each of ``rd``, ``rs1`` and ``rs2`` must name
+    (None where the mnemonic has no such slot: that field must be
+    empty).
+
+    Every slot the mnemonic has must be filled, or construction raises.
+    ``rs2``, ``imm`` or a symbolic ``target`` fill one slot, and a
+    branch or ``call`` needs ``imm`` or ``target``; the zero-immediate
+    rule fills ``imm`` for an integer ``rs2`` slot and for every
+    transfer before the check."""
 
     fixed_reads: tuple[Reg, ...]
     fixed_writes: tuple[Reg, ...]
@@ -263,6 +280,7 @@ class _Plan:
     write_fields: tuple[str, ...]
     pair: bool
     zero_imm: bool
+    operands: tuple[tuple[str, RegKind | None], ...]
 
 
 def _plan(info: OpcodeInfo) -> _Plan:
@@ -287,6 +305,10 @@ def _plan(info: OpcodeInfo) -> _Plan:
         # (the hardware has no "absent" rs2 field).
         zero_imm=info.operand_kinds.get(Slot.RS2) == "r"
         or info.fmt in (Format.CALL, Format.SETHI, Format.BRANCH),
+        operands=tuple(
+            (name, _REG_FILES.get(info.operand_kinds.get(slot)))
+            for slot, name in _OPERAND_FIELDS.items()
+        ),
     )
 
 

@@ -7,7 +7,9 @@ Three implementations of one tiny protocol:
   span), so a disabled run does no classification work and produces
   byte-identical schedules and cycle counts.
 * :class:`MetricsRecorder` — aggregates counters/histograms and phase
-  timings into a :class:`~repro.obs.metrics.MetricsRegistry`.
+  timings into a :class:`~repro.obs.metrics.MetricsRegistry`. With
+  ``telemetry=False`` it keeps those and skips stall attribution and
+  decision telemetry, so the hot paths stay on the compiled tables.
 * :class:`TraceRecorder` — everything MetricsRecorder does, plus a
   Chrome trace-event log (load the written file in ``chrome://tracing``
   or https://ui.perfetto.dev). Nested ``span`` calls become nested
@@ -33,6 +35,10 @@ class Recorder(Protocol):
     #: False promises that count/observe/span are no-ops, letting hot
     #: paths skip even the work of building label dicts.
     enabled: bool
+    #: True asks for every stall to be attributed to its hazard and
+    #: every scheduling decision recorded; hot paths branch on this,
+    #: and leave the compiled stall tables for the walker when it is set.
+    telemetry: bool
     metrics: MetricsRegistry | None
 
     def span(self, name: str, **args: object):
@@ -60,6 +66,7 @@ class NullRecorder:
     """Discards everything; the shared default sink."""
 
     enabled = False
+    telemetry = False
     metrics: MetricsRegistry | None = None
 
     def span(self, name: str, **args: object) -> _NullSpan:
@@ -98,7 +105,9 @@ class _Span:
 
 
 class MetricsRecorder:
-    """Aggregating sink: counters, histograms, and phase timers."""
+    """Aggregating sink: counters, histograms, and phase timers, plus
+    stall attribution and decision telemetry unless ``telemetry`` is
+    False."""
 
     enabled = True
 
@@ -107,9 +116,11 @@ class MetricsRecorder:
         metrics: MetricsRegistry | None = None,
         *,
         clock=time.perf_counter,
+        telemetry: bool = True,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
+        self.telemetry = telemetry
 
     def span(self, name: str, **args: object) -> _Span:
         return _Span(self, name, args)
@@ -132,8 +143,9 @@ class TraceRecorder(MetricsRecorder):
         metrics: MetricsRegistry | None = None,
         *,
         clock=time.perf_counter,
+        telemetry: bool = True,
     ) -> None:
-        super().__init__(metrics, clock=clock)
+        super().__init__(metrics, clock=clock, telemetry=telemetry)
         self.events: list[dict] = []
         self._epoch = self._clock()
 

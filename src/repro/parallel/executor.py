@@ -367,7 +367,7 @@ class ParallelScheduler:
         self, name: str, source: str, shards: list[list[list[Instruction]]]
     ) -> None:
         def make_payload(regions):
-            return (name, source, self.policy, regions, self.recorder.enabled)
+            return (name, source, self.policy, regions, self.recorder.telemetry)
 
         context = _mp_context(self.start_method)
         leased = False

@@ -77,11 +77,11 @@ class BlockSimulator:
         )
 
     def block_cycles(self, instructions: list[Instruction]) -> int:
-        """The issue-cycle cost of a block. With a live recorder this is
-        :meth:`time_block`, whose issues attribute their stalls;
+        """The issue-cycle cost of a block. With a telemetry recorder
+        this is :meth:`time_block`, whose issues attribute their stalls;
         otherwise :func:`issue_cycles`, which walks the compiled
         tables."""
-        if self.recorder.enabled:
+        if self.recorder.telemetry:
             return self.time_block(instructions).issue_cycles
         return issue_cycles(self.model, instructions)[0]
 

@@ -166,15 +166,16 @@ def issue(
     """Issue ``inst`` at or after ``cycle``, committing its effects.
 
     ``recorder`` (a :class:`repro.obs.Recorder`) attributes each
-    committed stall cycle to its hazard bucket; the default (or a
-    ``NullRecorder``) records nothing and adds no work.
+    committed stall cycle to its hazard bucket when its ``telemetry``
+    is set; the default, a ``NullRecorder`` or a recorder without
+    telemetry records nothing and adds no work.
     """
     timing = state.model.timing(inst)
     prepared = _prepare(timing.trace)
     hit = _table_hit(cycle, state, timing)
     issue_cycle = _search(cycle, state, prepared, timing) if hit is None else hit[0]
     result = _materialize(issue_cycle, cycle, prepared, timing)
-    if recorder is not None and recorder.enabled:
+    if recorder is not None and recorder.telemetry:
         from .diagnose import attribute_stalls  # lazy: diagnose imports us
 
         recorder.count(ISSUES)

@@ -898,8 +898,9 @@ def persist_learned(
     The eager BFS prefix covers the structurally common states, but a
     real workload's first pass still interns thousands more — work
     every fresh process would otherwise redo. Pool workers call this
-    after each sharded build, and :func:`repro.evaluation.run_table`
-    after its rows. Persisting is last-writer-wins with a size guard:
+    after each sharded build, :func:`repro.evaluation.run_table` after
+    its rows, and a ``qpt serve`` daemon for each hot model when it
+    stops. Persisting is last-writer-wins with a size guard:
     if the store's header line already counts at least as many states
     (another process got there first), nothing is written, and the body
     is never read. Returns True when a write happened. No-ops when the

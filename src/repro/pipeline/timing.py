@@ -191,10 +191,10 @@ def _time_path(
     model: MachineModel, segments: list[int], layout: dict, rec: Recorder
 ) -> int | None:
     """Cycles to issue ``segments`` laid out by ``layout``: through the
-    segment memo, on the walker when ``rec`` attributes stalls, and
-    None when the tables cannot carry the stream (counted in
-    ``tables.misses``)."""
-    if rec.enabled:
+    segment memo, on the walker when ``rec`` has telemetry (it
+    attributes every stall), and None when the tables cannot carry the
+    stream (counted in ``tables.misses``)."""
+    if rec.telemetry:
         return _walk(model, segments, layout, rec)
     tables = model.tables
     try:

@@ -328,7 +328,7 @@ class GuardedBlockScheduler:
         for result in replayed:
             if result is not None:
                 self.inner.stats.merge(result)
-                if self.recorder.enabled:
+                if self.recorder.telemetry:
                     self.inner._replay_attribution(result.instructions)
         return join_regions(
             regions,

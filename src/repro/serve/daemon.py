@@ -20,8 +20,11 @@ never queue behind a build). Endpoints:
     latency percentiles, cache tiers, pool state.
 
 ``POST /shutdown``
-    Acknowledges, flushes a ``kind="serve"`` ledger record (when the
-    daemon was started with ``--ledger``), then stops the server.
+    Acknowledges, then stops the server. On the way out the daemon
+    writes the table states its hot models learned back to the store
+    (:meth:`~repro.serve.service.SchedulingService.persist_tables`) and
+    flushes a ``kind="serve"`` ledger record (when it was started with
+    ``--ledger``). A killed daemon does neither.
 
 The daemon prints exactly one ready line to stdout::
 
@@ -126,8 +129,9 @@ def run_daemon(
     announce=print,
     service: SchedulingService | None = None,
 ) -> SchedulingService:
-    """Serve until ``/shutdown`` (or KeyboardInterrupt); returns the
-    service so callers can inspect its final stats."""
+    """Serve until ``/shutdown`` (or KeyboardInterrupt), then persist
+    the learned table states; returns the service so callers can
+    inspect its final stats."""
     service = service or SchedulingService(config)
     with ServeDaemon(service, host, port) as server:
         announce(f"qpt serve: listening on {server.url}")
@@ -135,6 +139,7 @@ def run_daemon(
             server.serve_forever()
         except KeyboardInterrupt:
             pass
+    service.persist_tables()
     if ledger:
         service.flush_ledger()
     return service

@@ -29,13 +29,17 @@ existing :class:`~repro.robust.guard.GuardBudget`: guarded jobs carry
 the service's budget, so oversized blocks and deadline overruns
 degrade to the original code instead of wedging the daemon.
 
-Each build runs under the service recorder (span ``serve.request``);
+Each build runs under the service recorder (span ``serve.request``),
+which by default counts and times but attributes no stall
+(``telemetry=False``), so builds stay on the compiled stall tables;
 every answered request, memo hit or build, lands in a bounded latency
-ring; :meth:`SchedulingService.stats`
-summarizes throughput and p50/p95/p99 latency, and
-:meth:`SchedulingService.flush_ledger` appends one ``kind="serve"``
-record the benchmarks gate (``qpt benchmarks gate``) tracks alongside
-every other measured run.
+ring, and every built batch records its wait for the build lock;
+:meth:`SchedulingService.stats` summarizes throughput, p50/p95/p99
+latency and lock wait, and :meth:`SchedulingService.flush_ledger`
+appends one ``kind="serve"`` record the benchmarks gate (``qpt
+benchmarks gate``) tracks alongside every other measured run.
+:meth:`SchedulingService.persist_tables` writes the table states the
+hot models learned back to the store; the daemon calls it on shutdown.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from ..parallel.cache import ScheduleCache
 from ..parallel.executor import ParallelOptions, make_transform
 from ..parallel.fingerprint import model_digest, policy_digest
 from ..parallel.pool import pool_stats
+from ..pipeline.tables import persist_learned
 from ..qpt.profiling import SlowProfiler
 from ..robust.guard import GuardBudget
 from ..spawn.library import load_machine
@@ -155,7 +160,11 @@ class SchedulingService:
         self, config: ServiceConfig | None = None, recorder: Recorder | None = None
     ) -> None:
         self.config = config or ServiceConfig()
-        self.recorder = recorder if recorder is not None else MetricsRecorder()
+        # Counts and spans, not per-stall attribution: a telemetry
+        # recorder would move every build off the compiled stall tables.
+        self.recorder = (
+            recorder if recorder is not None else MetricsRecorder(telemetry=False)
+        )
         self._models: dict[str, object] = {}
         #: machine -> ``model_digest`` of its hot model, taken once.
         self._model_digests: dict[str, str] = {}
@@ -181,6 +190,10 @@ class SchedulingService:
         self.errors = 0
         self.memo_hits = 0
         self.builds = 0
+        #: built batches' waits for the build lock: count, total, max.
+        self.lock_waits = 0
+        self._lock_wait_ms = 0.0
+        self._lock_wait_max_ms = 0.0
 
     # -- resources ---------------------------------------------------------------
 
@@ -244,8 +257,10 @@ class SchedulingService:
             results = [self._replay(*hit) for hit in recalled]
         else:
             self._admit(batch)
+            queued = time.perf_counter()
             try:
                 with self._build_lock:
+                    self._record_lock_wait((time.perf_counter() - queued) * 1e3)
                     results = [self._run_job(job) for job in batch.jobs]
             finally:
                 with self._state_lock:
@@ -342,6 +357,12 @@ class SchedulingService:
             "memo": True,
             **result,
         }
+
+    def _record_lock_wait(self, wait_ms: float) -> None:
+        with self._state_lock:
+            self.lock_waits += 1
+            self._lock_wait_ms += wait_ms
+            self._lock_wait_max_ms = max(self._lock_wait_max_ms, wait_ms)
 
     def _record_latency(self, wall_ms: float) -> None:
         """Append to the ring and its sorted view (under ``_state_lock``)."""
@@ -482,6 +503,12 @@ class SchedulingService:
                 "hits": self.memo_hits,
                 "builds": self.builds,
             }
+            waits = self.lock_waits
+            summary["lock_wait_latency_ms"] = {
+                "count": waits,
+                "mean": round(self._lock_wait_ms / waits, 3) if waits else 0.0,
+                "max": round(self._lock_wait_max_ms, 3),
+            }
             caches = sorted(self._caches.items())
             models = sorted(self._models.items())
         # Each hot model's stall tables, so a refused table store (or a
@@ -508,6 +535,17 @@ class SchedulingService:
         summary["pool"] = pool_stats()
         return summary
 
+    def persist_tables(self) -> None:
+        """Write the table states each hot model learned back to its
+        store (:func:`~repro.pipeline.tables.persist_learned`: same size
+        guard, same ``min_growth``). Called once, when the daemon stops;
+        never per build, where the write would land on a first-seen
+        request."""
+        with self._state_lock:
+            models = list(self._models.values())
+        for model in models:
+            persist_learned(model)
+
     def flush_ledger(self, path: str | None = None) -> dict:
         """Append one ``kind="serve"`` ledger record summarizing this
         service's lifetime so far; returns the record."""
@@ -533,6 +571,18 @@ class SchedulingService:
                 **{
                     f"latency_{name}_ms": value
                     for name, value in stats.get("latency_ms", {}).items()
+                },
+                "lock_wait_latency_mean_ms": stats["lock_wait_latency_ms"]["mean"],
+                "lock_wait_latency_max_ms": stats["lock_wait_latency_ms"]["max"],
+                # Walks the tables could not carry, and refused stores:
+                # fallback counts per machine, lower is better.
+                "table_fallbacks": {
+                    machine: tables["misses"]
+                    for machine, tables in stats["tables"].items()
+                },
+                "table_rejected": {
+                    machine: tables["rejected"]
+                    for machine, tables in stats["tables"].items()
                 },
             },
         )

@@ -75,7 +75,7 @@ def test_every_mnemonic_has_a_binder():
         Instruction("udiv", rd=r(1), rs1=r(2), rs2=r(0)),
         Instruction("sdiv", rd=r(1), rs1=r(2), imm=0),
         Instruction("ba", imm=4),
-        Instruction("ldf", rs1=r(2), imm=0),  # no destination
+        Instruction("ldf", rd=f(0), rs1=r(2), imm=1),  # misaligned
     ],
     ids=str,
 )

@@ -44,6 +44,32 @@ def test_missing_rs2_becomes_zero_immediate():
     assert inst.imm == 0
 
 
+@pytest.mark.parametrize(
+    "mnemonic, operands, slot",
+    [
+        ("ldf", dict(rs1=r(2), imm=0), "rd"),
+        ("add", dict(rd=r(1)), "rs1"),
+        ("st", dict(rs1=r(2), imm=4), "rd"),
+        ("jmpl", dict(rd=r(0), imm=8), "rs1"),
+        ("sethi", dict(imm=5), "rd"),
+        ("fadds", dict(rd=f(0), rs1=f(1)), "rs2"),
+        ("fcmpd", dict(rs2=f(2)), "rs1"),
+    ],
+)
+def test_a_missing_required_operand_is_rejected(mnemonic, operands, slot):
+    with pytest.raises(ValueError, match=f"^{mnemonic}: missing operand {slot}$"):
+        Instruction(mnemonic, **operands)
+
+
+def test_the_zero_immediate_rule_still_fills_an_absent_immediate():
+    """``rs2`` or ``imm`` is one slot, and so is a transfer's ``imm`` or
+    ``target``: the zero-immediate rule fills both before the check."""
+    assert Instruction("wry", rs1=r(1)).imm == 0
+    assert Instruction("sethi", rd=r(1)).imm == 0
+    assert Instruction("ba").imm == 0 and Instruction("call").imm == 0
+    assert Instruction("ba", target="L").imm is None
+
+
 def test_condition_code_effects():
     assert ICC in Instruction("subcc", rd=r(0), rs1=r(1), rs2=r(2)).regs_written()
     assert ICC in Instruction("be", imm=4).regs_read()

@@ -102,3 +102,76 @@ def test_shutdown_endpoint_stops_the_server():
     thread.join(timeout=10.0)
     assert not thread.is_alive(), "serve_forever should return after /shutdown"
     server.server_close()
+
+
+#: Six workload specs; with instrument, verify and schedule each, the
+#: 18 jobs learn well over ``PERSIST_MIN_GROWTH`` table states.
+PERSIST_SPECS = [
+    {"name": f"serve-persist-{seed}", "seed": seed, "kind": kind, "avg_block_size": 8.0}
+    for seed, kind in zip(range(61, 67), ("int", "fp") * 3)
+]
+
+
+def test_a_stopped_daemon_persists_the_table_states_it_learned(tmp_path, monkeypatch):
+    """A ``jobs=1`` daemon learns every table state in its own process;
+    on ``/shutdown`` it writes them back, so a fresh process starts
+    with them."""
+    import os
+    import subprocess
+    import sys
+
+    from repro.parallel.fingerprint import model_digest
+    from repro.pipeline.tables import (
+        CACHE_DIR_ENV,
+        EAGER_STATES,
+        _cache_path,
+        _stored_states,
+    )
+    from repro.serve import run_daemon
+    from repro.serve import service as service_module
+    from repro.spawn.library import description_text, load_machine_from_source
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    # A model of its own, on the private store, not the process-wide one.
+    monkeypatch.setattr(
+        service_module,
+        "load_machine",
+        lambda machine: load_machine_from_source(description_text(machine), machine),
+    )
+    service = SchedulingService(ServiceConfig(jobs=1))
+    ready = threading.Event()
+    urls = []
+
+    def announce(line):
+        urls.append(line.rsplit(":", 1)[1])
+        ready.set()
+
+    thread = threading.Thread(
+        target=run_daemon, kwargs={"service": service, "announce": announce}, daemon=True
+    )
+    thread.start()
+    assert ready.wait(10.0)
+    client = ServeClient(int(urls[0]))
+    for spec in PERSIST_SPECS:
+        jobs = [encode_job(kind, workload=spec) for kind in ("instrument", "verify", "schedule")]
+        assert all(result["ok"] for result in client.batch(jobs)["results"])
+    states = client.stats()["tables"]["ultrasparc"]["states"]
+    client.shutdown()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    path = _cache_path(model_digest(service.model_for("ultrasparc")))
+    assert states > EAGER_STATES
+    assert _stored_states(path) == states
+    fresh = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.spawn import load_machine; t = load_machine('ultrasparc').tables; "
+            "print(t.states, t.rejected)",
+        ],
+        env={**os.environ, CACHE_DIR_ENV: str(tmp_path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert fresh.stdout.split() == [str(states), "0"]

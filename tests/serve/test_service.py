@@ -575,3 +575,55 @@ def test_concurrent_hits_beside_a_build_keep_every_count():
     assert counted == service.requests == total
     assert service.memo_hits + service.builds == total
     assert service.builds == 2
+    assert service.stats()["lock_wait_latency_ms"]["count"] == 2
+
+
+def test_every_built_batch_records_its_wait_for_the_build_lock():
+    service = SchedulingService(ServiceConfig(jobs=1))
+    service.model_for("ultrasparc")
+    with service._build_lock:
+        threads = [
+            threading.Thread(target=answer, args=(service, memo_job(0, kind)))
+            for kind in ("instrument", "schedule")
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        while service._pending < 2:  # both first-seen, both wait
+            assert time.monotonic() < deadline, "the batches never queued"
+            time.sleep(0.01)
+        time.sleep(0.05)
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    waits = service.stats()["lock_wait_latency_ms"]
+    assert waits["count"] == service.builds == 2
+    assert waits["max"] >= 50.0 and 0 < waits["mean"] <= waits["max"]
+    # A memo hit takes no lock and records no wait.
+    assert answer(service, memo_job(0, "schedule"))["memo"] is True
+    assert service.stats()["lock_wait_latency_ms"] == waits
+
+
+def test_serve_ledger_carries_table_fallbacks_and_lock_wait(tmp_path):
+    from repro.obs.gate import flatten_metrics, metric_direction
+    from repro.obs.ledger import read_ledger
+
+    service = SchedulingService(ServiceConfig(jobs=1))
+    answer(service, memo_job(1))
+    ledger = tmp_path / "ledger.jsonl"
+    service.flush_ledger(str(ledger))
+    (record,) = read_ledger(str(ledger))
+    results = record["results"]
+    tables = service.stats()["tables"]
+    assert results["table_fallbacks"] == {m: t["misses"] for m, t in tables.items()}
+    assert results["table_rejected"] == {m: t["rejected"] for m, t in tables.items()}
+    assert results["lock_wait_latency_mean_ms"] >= 0
+    flat = flatten_metrics(record)
+    for name in (
+        "results.table_fallbacks.ultrasparc",
+        "results.table_rejected.ultrasparc",
+        "results.lock_wait_latency_mean_ms",
+        "results.lock_wait_latency_max_ms",
+    ):
+        assert name in flat, name
+        assert metric_direction(name) == "lower", name
