@@ -139,13 +139,9 @@ class TraceRecorder(MetricsRecorder):
     """MetricsRecorder plus a Chrome trace-event JSON log."""
 
     def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        *,
-        clock=time.perf_counter,
-        telemetry: bool = True,
+        self, metrics: MetricsRegistry | None = None, *, clock=time.perf_counter
     ) -> None:
-        super().__init__(metrics, clock=clock, telemetry=telemetry)
+        super().__init__(metrics, clock=clock)
         self.events: list[dict] = []
         self._epoch = self._clock()
 

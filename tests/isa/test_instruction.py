@@ -40,8 +40,19 @@ def test_rs2_and_imm_conflict():
 
 
 def test_missing_rs2_becomes_zero_immediate():
-    inst = Instruction("add", rd=r(3), rs1=r(1))
-    assert inst.imm == 0
+    """``rs2`` or ``imm`` is one slot, and so is a transfer's ``imm`` or
+    ``target``: the zero-immediate rule fills an absent one before the
+    missing-operand check, and a symbolic target needs no immediate."""
+    cases = [
+        (Instruction("add", rd=r(3), rs1=r(1)), 0),
+        (Instruction("wry", rs1=r(1)), 0),
+        (Instruction("sethi", rd=r(1)), 0),
+        (Instruction("ba"), 0),
+        (Instruction("call"), 0),
+        (Instruction("ba", target="L"), None),
+    ]
+    for inst, imm in cases:
+        assert inst.imm == imm, inst
 
 
 @pytest.mark.parametrize(
@@ -59,15 +70,6 @@ def test_missing_rs2_becomes_zero_immediate():
 def test_a_missing_required_operand_is_rejected(mnemonic, operands, slot):
     with pytest.raises(ValueError, match=f"^{mnemonic}: missing operand {slot}$"):
         Instruction(mnemonic, **operands)
-
-
-def test_the_zero_immediate_rule_still_fills_an_absent_immediate():
-    """``rs2`` or ``imm`` is one slot, and so is a transfer's ``imm`` or
-    ``target``: the zero-immediate rule fills both before the check."""
-    assert Instruction("wry", rs1=r(1)).imm == 0
-    assert Instruction("sethi", rd=r(1)).imm == 0
-    assert Instruction("ba").imm == 0 and Instruction("call").imm == 0
-    assert Instruction("ba", target="L").imm is None
 
 
 def test_condition_code_effects():

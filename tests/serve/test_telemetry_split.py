@@ -19,6 +19,7 @@ from repro.obs.report import (
     CACHE_INSERTS,
     GUARD_BLOCKS_VERIFIED,
     ISSUES,
+    PARALLEL_REGIONS,
     SB_LEN,
     SCHED_BLOCKS,
     SCHED_DECISIONS,
@@ -138,6 +139,10 @@ def test_a_first_seen_build_under_the_serve_default_stays_on_the_tables(monkeypa
     assert len(restarts) <= model.tables.misses - misses0
 
 
+def timed(metrics, name: str) -> int:
+    return sum(cell.count for cell in metrics.timers.get(name, {}).values())
+
+
 def test_the_serve_default_keeps_counts_spans_and_histograms():
     service = SchedulingService(ServiceConfig(jobs=1))
     outcome(service, 1)
@@ -146,13 +151,34 @@ def test_the_serve_default_keeps_counts_spans_and_histograms():
         assert metrics.counter_total(name) > 0, name
     assert metrics.counter_total(SCHED_BLOCKS) > 0
     for name in ("serve.request", "core.forward_pass", "eel.layout"):
-        assert sum(cell.count for cell in metrics.timers.get(name, {}).values()), name
+        assert timed(metrics, name), name
     assert metrics.histograms[SB_LEN]
     # What telemetry would have added is absent.
     for name in (ISSUES, STALL_CYCLES, SCHED_DECISIONS):
         assert metrics.counter_total(name) == 0, name
     stats = service.stats()
     assert stats["requests"] == metrics.counter_total(SERVE_REQUESTS)
+
+
+def test_at_jobs_2_the_serve_default_times_only_the_regions_the_daemon_schedules(
+    monkeypatch,
+):
+    """A worker given no telemetry builds no recorder, so the phase
+    timers of the regions it schedules never reach serve's registry;
+    a telemetry recorder gets them merged from the workers' snapshots."""
+    monkeypatch.setattr(executor, "effective_workers", lambda n: max(1, int(n)))
+    seen = {}
+    for name in ("counts", "telemetry"):
+        service = SchedulingService(ServiceConfig(jobs=2), RECORDERS[name]())
+        outcome(service, 2)
+        metrics = service.recorder.metrics
+        seen[name] = (
+            metrics.counter_total(PARALLEL_REGIONS),
+            timed(metrics, "core.forward_pass"),
+        )
+    sharded, daemon_timed = seen["counts"]
+    assert sharded > 0 and seen["telemetry"][0] == sharded
+    assert daemon_timed + sharded == seen["telemetry"][1]
 
 
 def test_a_telemetry_recorder_passed_to_serve_attributes_stalls():
